@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 import warnings as _warnings
@@ -39,6 +38,7 @@ from .peeling import (
     BudgetExceeded,
     mc_expected_learned,
     mc_parent_graph_erasure,
+    resolve_threads,
 )
 from .optimizer import (
     BudgetSpec,
@@ -60,8 +60,6 @@ from .emergence import (
     level_recursion_detail,
     task_mixture_binomial,
 )
-
-THREADS_ENV = "SCALING_LENS_THREADS"
 
 COMMANDS = (
     "threshold",
@@ -120,7 +118,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "eval_mode": ("enum:exact_log|poisson_limit", "exact_log"),
         "eps_lo": ("float", 0.0),
         "eps_hi": ("float", 1.0),
-        "tol": ("float", 1e-7),
     },
     "peel-sim": {
         "R": ("int", _REQUIRED),
@@ -369,21 +366,6 @@ def _render_data(columns: list[str], rows: list[list], fmt: str) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _threads_arg(params: dict) -> int | None:
-    if params["threads"] is not None:
-        if params["threads"] < 0:
-            raise ConfigError("threads must be >= 0")
-        return params["threads"] or None
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        return n or None
-    return None
-
-
 def _run_threshold(params: dict, extras: dict, notes: list[str]):
     try:
         model = DegreeModel(
@@ -393,10 +375,7 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        sol = find_threshold(
-            model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"],
-            tol=params["tol"],
-        )
+        sol = find_threshold(model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"])
         ub = matching_upper_bound(model)
         p_b = bit_erasure_rate(model, sol)
     except (NonPositiveRadicand, DegenerateThreshold) as exc:
@@ -426,7 +405,12 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
 
 
 def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
-    threads = _threads_arg(params)
+    try:
+        threads = resolve_threads(params["threads"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # the sidecar records the count the run used
+    params["threads"] = threads
     if params["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     try:

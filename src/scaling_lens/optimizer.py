@@ -121,7 +121,7 @@ class ScalingFit:
 
 def _solve_threshold(model: DegreeModel, coarse: bool) -> ThresholdSolution:
     if coarse:
-        return find_threshold(model, tol=1e-4, grid_points=512, refine_passes=1)
+        return find_threshold(model, grid_points=512, refine_passes=1)
     return find_threshold(model)
 
 
@@ -131,16 +131,23 @@ def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
     The waterfall law alone below/at threshold; joined with the DE
     fixed-point rate strictly above threshold and in the no-transition
     regimes, where the frozen-at-threshold law cannot follow the truth.
+    A threshold on the junk cut has no tangency and hence no waterfall:
+    there the decoder ends on the junk branch, which only DE follows.
     """
+    if sol.on_junk_cut:
+        return de_bit_erasure(model, model.epsilon)
     law = bit_erasure_rate(model, sol)
     if not sol.no_transition and model.epsilon <= sol.eps_star:
         return law
     return max(law, de_bit_erasure(model, model.epsilon))
 
 
-def _evaluate(R: int, spec: BudgetSpec, coarse: bool) -> tuple[float, float, int]:
-    """Objective, threshold, and T at one grid point (T = floor(C'/R))."""
-    T = int(spec.C_prime // R)
+def _evaluate(
+    R: int, spec: BudgetSpec, coarse: bool, T: int | None = None
+) -> tuple[float, float, int]:
+    """Objective, threshold, and T at one grid point (T = floor(C'/R) unless given)."""
+    if T is None:
+        T = int(spec.C_prime // R)
     model = DegreeModel(R=R, T=T, d_t=spec.d_t, epsilon=spec.epsilon)
     sol = _solve_threshold(model, coarse)
     p_b = effective_bit_erasure(model, sol)
@@ -153,11 +160,7 @@ def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
     """Expected concepts learned for an explicit (R, T) pair."""
     if R < 1 or T < 1:
         raise ValueError("R and T must be at least 1")
-    model = DegreeModel(R=int(R), T=int(T), d_t=spec.d_t, epsilon=spec.epsilon)
-    sol = _solve_threshold(model, coarse=False)
-    p_b = effective_bit_erasure(model, sol)
-    frac = min(1.0, p_b / spec.epsilon)
-    return min(float(R), max(0.0, R * (1.0 - frac)))
+    return _evaluate(int(R), spec, coarse=False, T=int(T))[0]
 
 
 def _r_bounds(spec: BudgetSpec) -> tuple[int, int]:

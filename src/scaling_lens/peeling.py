@@ -91,16 +91,20 @@ def _kernel():
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else SCALING_LENS_THREADS, else cpu count."""
+    """Explicit argument, else SCALING_LENS_THREADS, else every core.
+
+    0 from either source also means every core.  Raises ValueError for a
+    negative count or an environment value that is not an integer.
+    """
     if threads is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+        env = os.environ.get(THREADS_ENV, "")
+        try:
+            threads = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

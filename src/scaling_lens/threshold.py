@@ -7,9 +7,11 @@ that an edge message is still unknown:
 
 Peeling succeeds at erasure fraction eps when iterating f from x = 1
 escapes to the trivial branch; it stalls when f has a fixed point above
-that branch.  The decoding threshold eps_star is the smallest eps for
-which such a fixed point exists, located by bisection over a log-spaced
-x grid.  At threshold the curve f - x is tangent at x_star, which feeds
+that branch.  As g(x) = lam(1 - rho(1 - x)) does not depend on eps, the
+decoding threshold, the smallest eps with such a fixed point, is the
+minimum of x/g(x) over x above that branch (the direct BP-threshold
+characterization; Richardson & Urbanke, Modern Coding Theory, 2008).
+The minimizer x_star is where f - x is tangent at threshold; it feeds
 the finite-size waterfall law
 
     P_b(eps) ~= nu_star * Q(sqrt(R/eps) * (eps_star - eps) / alpha)
@@ -20,15 +22,18 @@ assembled from the degree polynomials and their derivatives.
 Binomial ensembles have concepts of degree 0 and 1, so f(0+, eps) > 0 and
 a tiny "junk" fixed point exists at every eps (isolated concepts can never
 be learned).  The solver excludes that trivial branch by iterating f from
-x = 0 and restricting the fixed-point search to x above twice the limit;
-for clean operating points the branch sits far below the 1e-9 grid floor
-and the exclusion is inert.  The exclusion is capped at a few times the
-seed mass eps*lam(0): once the orbit from 0 climbs past that scale the
-junk branch has merged with a genuine fixed point, which must count.
+x = 0 and restricting the minimum to x above twice the limit; for clean
+operating points the branch sits far below the 1e-9 grid floor and the
+exclusion is inert.  The exclusion is capped at a few times the seed mass
+eps*lam(0): once the orbit from 0 climbs past that scale the junk branch
+has merged with a genuine fixed point, which must count.  As this cut
+depends on eps, find_threshold iterates eps <- min x/g(x) down from eps_hi
+and, where the minimum sits on the cut, solves for the crossing instead.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -56,6 +61,8 @@ logger = logging.getLogger(__name__)
 
 X_GRID_LO = 1e-9
 X_GRID_POINTS = 2048
+_ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
+MAX_CUT_PASSES = 64
 
 
 class DegenerateThreshold(Exception):
@@ -76,6 +83,8 @@ class ThresholdSolution:
     alpha: float
     no_transition: bool = False
     tied_maximizer: bool = False
+    # the minimizer is the junk cut itself: no tangency, so no waterfall
+    on_junk_cut: bool = False
 
 
 def qfunc(z: float) -> float:
@@ -136,51 +145,66 @@ def de_bit_erasure(model, eps: float) -> float:
     return eps * model.L(1.0 - model.rho(1.0 - x_inf))
 
 
-def _grid_max(model, eps: float, cut: float, base_grid, refine_passes: int):
-    """Max of f(x, eps) - x over the grid restricted to (cut, 1].
+@functools.lru_cache(maxsize=None)
+def _base_grid(points: int) -> np.ndarray:
+    grid = np.geomspace(X_GRID_LO, 1.0, points)
+    grid.setflags(write=False)
+    return grid
 
-    Returns (gmax, x_at_max, tied).  Refinement zooms geometrically around
-    the maximizer; the tangency at threshold is quadratic, so the zoom is
-    what recovers x_star beyond bare grid resolution.
+
+def _ratio(model, x):
+    """x / g(x) with g(x) = lam(1 - rho(1 - x)), +inf where g vanishes."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return x / model.lam(1.0 - model.rho(1.0 - x))
+
+
+def _min_above(model, cut: float, grid, ratio, refine_passes: int):
+    """(min, x_at_min, tied, on_cut) of x/g(x) over the cut and grid above it.
+
+    A geometric zoom around the minimizer recovers x_star beyond grid
+    resolution.  Of separate wells within 1e-9 of the minimum the largest-x
+    one wins: the decoder coming down from x = 1 stalls there.
     """
-    xs = base_grid[base_grid > cut]
-    if xs.size == 0:
-        return -np.inf, math.nan, False
-    gmax = -np.inf
-    x_best = math.nan
-    tied = False
-    for _ in range(refine_passes + 1):
-        g = de_map(model, xs, eps) - xs
-        i = int(np.argmax(g))
-        near = np.nonzero(g >= g[i] - 1e-9)[0]
-        # tie rule: among maxima within 1e-9, keep the largest x
-        j = int(near[-1])
-        if j != i and xs[j] > xs[i] * (1.0 + 1e-6):
-            tied = True
-        if g[j] > gmax:
-            gmax = float(g[j])
-            x_best = float(xs[j])
-        lo = xs[max(j - 2, 0)]
-        hi = xs[min(j + 2, xs.size - 1)]
+    if cut >= 1.0:
+        return math.inf, math.nan, False, False
+    start = int(np.searchsorted(grid, cut, side="right"))
+    xs = np.concatenate(([cut], grid[start:]))
+    rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
+    i = int(np.argmin(rs))
+    near = np.flatnonzero(rs <= rs[i] + 1e-9)
+    gaps = np.flatnonzero(np.diff(near) > 1)
+    if gaps.size:
+        k = int(near[gaps[-1] + 1])
+        i = k + int(np.argmin(rs[k : near[-1] + 1]))
+    x_min, r_min = xs[i], rs[i]
+    for _ in range(refine_passes):
+        lo, hi = xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)]
         if hi <= lo:
             break
-        xs = np.geomspace(lo, hi, 65)
-    return gmax, x_best, tied
+        xs = lo * (hi / lo) ** _ZOOM
+        rs = _ratio(model, xs)
+        i = int(np.argmin(rs))
+        if rs[i] < r_min:
+            x_min, r_min = xs[i], rs[i]
+    return float(r_min), float(x_min), bool(gaps.size), bool(x_min == cut)
 
 
 def find_threshold(
     model,
     eps_lo: float = 0.0,
     eps_hi: float = 1.0,
-    tol: float = 1e-7,
     grid_points: int = X_GRID_POINTS,
     refine_passes: int = 2,
 ) -> ThresholdSolution:
-    """Locate the decoding threshold by bisection on eps.
+    """Decoding threshold: the first eps with eps >= m(eps).
 
-    The inner predicate asks whether f(x, eps) - x >= 0 anywhere on a
-    log-spaced x grid above the trivial branch.  Works for DegreeModel and
-    for PolynomialPair (classical ensembles given by coefficient lists).
+    m(eps) is the minimum of x/g(x) over the junk cut and the log-spaced
+    x grid above it.  From eps_hi the iteration eps <- m(eps) falls, as the
+    cut does not decrease with eps, and stops in two passes when the
+    minimizer lies above the cut.  On the cut it would converge only
+    linearly, so there eps - m(eps) = 0 is solved by secant steps, then
+    false position once bracketed.  Works for DegreeModel and for
+    PolynomialPair (classical ensembles given by coefficient lists).
 
     Raises DegenerateThreshold if a fixed point already exists at eps_lo.
     If none exists even at eps_hi the returned solution carries
@@ -189,9 +213,10 @@ def find_threshold(
     """
     if not 0.0 <= eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
-    base_grid = np.geomspace(X_GRID_LO, 1.0, grid_points)
+    grid = _base_grid(grid_points)
+    ratio = _ratio(model, grid)
 
-    def probe(eps):
+    def m(eps):
         # the junk fixed point stays within a small factor of its seed
         # eps*lam(0) while genuinely separated; an orbit that climbs past
         # 4x the seed has merged with a real fixed point, so the cut must
@@ -199,34 +224,48 @@ def find_threshold(
         x_triv = _trivial_branch(model, eps)
         junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
         cut = max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
-        return _grid_max(model, eps, cut, base_grid, refine_passes)
+        return _min_above(model, cut, grid, ratio, refine_passes)
 
-    g_lo, _, _ = probe(eps_lo)
-    if g_lo >= 0.0:
+    # m(0) > 0, so only a positive eps_lo can be degenerate
+    if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:
         raise DegenerateThreshold(
             f"fixed point already present at eps_lo={eps_lo}; no transition to bracket"
         )
-    g_hi, x_hi, tied_hi = probe(eps_hi)
-    if g_hi < 0.0:
+    hi = eps_hi
+    r, x_star, tied, on_cut = m(hi)
+    if r > hi:
         logger.debug("no fixed point up to eps_hi=%g; returning sentinel", eps_hi)
-        nu, al = _solution_constants(model, eps_hi, x_hi)
-        return ThresholdSolution(eps_hi, x_hi, nu, al, no_transition=True, tied_maximizer=tied_hi)
+        nu, al = _solution_constants(model, eps_hi, x_star)
+        return ThresholdSolution(eps_hi, x_star, nu, al, no_transition=True, tied_maximizer=tied)
 
-    lo, hi = eps_lo, eps_hi
-    bisect_tol = min(tol, 1e-9)
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        g_mid, _, _ = probe(mid)
-        if g_mid >= 0.0:
-            hi = mid
+    # h = eps - m(eps) >= 0 at hi; the first step is the plain iteration,
+    # then secants through the last two upper ends until one lands on h < 0
+    # at lo, and Illinois false position in [lo, hi] from there
+    h_hi, prev, lo, h_lo, side = hi - r, None, None, 0.0, 0
+    for _ in range(MAX_CUT_PASSES):
+        if lo is not None:
+            eps = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+        elif prev is not None and prev[1] > h_hi:
+            eps = max(eps_lo, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
         else:
-            lo = mid
-    eps_star = hi
-    _, x_star, tied = probe(eps_star)
+            eps = r
+        r, x, t, c = m(eps)
+        if r <= eps:
+            prev, hi, h_hi, x_star, tied, on_cut = (hi, h_hi), eps, eps - r, x, t, c
+            h_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+        else:
+            lo, h_lo = eps, eps - r
+            h_hi *= 0.5 if side < 0 else 1.0
+            side = -1
+        if h_hi == 0.0 or (hi - lo if lo is not None else prev[0] - hi) <= 1e-12:
+            break
+    else:
+        logger.info("threshold solve stopped after %d passes at eps=%.12g", MAX_CUT_PASSES, hi)
     if tied:
-        logger.info("tied maximizers of f - x at eps=%.9g; keeping largest x", eps_star)
-    nu_star, alpha = _solution_constants(model, eps_star, x_star)
-    return ThresholdSolution(eps_star, x_star, nu_star, alpha, tied_maximizer=tied)
+        logger.info("tied minimizers of x/g(x) at eps=%.9g; keeping largest x", hi)
+    nu_star, alpha = _solution_constants(model, hi, x_star)
+    return ThresholdSolution(hi, x_star, nu_star, alpha, tied_maximizer=tied, on_junk_cut=on_cut)
 
 
 def _solution_constants(model, eps_star: float, x_star: float):

@@ -132,7 +132,8 @@ class TestThresholdCommand:
             "matching_upper_bound,bit_erasure_rate"
         )
         cells = lines[1].decode().split(",")
-        np.testing.assert_allclose(float(cells[4]), 0.498874070122838, rtol=1e-9)
+        # the dense 4M-point minimum of x/g(x) for this model
+        np.testing.assert_allclose(float(cells[4]), 0.498872999794601, rtol=1e-9)
         assert cells[8] == "0"
 
     def test_no_transition_uses_empty_cells(self, tmp_path, monkeypatch):
@@ -202,6 +203,29 @@ class TestPeelSimCommand:
         cfg = write_config(tmp_path, self.CFG.replace("trials = 40", "trials = 0"))
         assert run_cli(["peel-sim", "--config", cfg]) == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_threads_zero_means_every_core(self, tmp_path, monkeypatch):
+        """0 from the environment or the flag runs on every core, as recorded."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        cfg = write_config(tmp_path, self.CFG)
+        monkeypatch.setenv("SCALING_LENS_THREADS", "0")
+        assert run_cli(["peel-sim", "--config", cfg, "--out", "env.csv"]) == 0
+        monkeypatch.setenv("SCALING_LENS_THREADS", "2")
+        assert run_cli(["peel-sim", "--config", cfg, "--out", "flag.csv", "--threads", "0"]) == 0
+        for out in ("env.csv", "flag.csv"):
+            meta = json.loads((tmp_path / f"{out}.meta.json").read_text())
+            assert meta["resolved_params"]["threads"] == 5
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_bad_threads_env_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, self.CFG)
+        monkeypatch.setenv("SCALING_LENS_THREADS", "many")
+        assert run_cli(["peel-sim", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "SCALING_LENS_THREADS must be an integer" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
 
 class TestBudgetCommands:

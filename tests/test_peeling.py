@@ -1,6 +1,7 @@
 """Tests for graph sampling, the peeling kernel, and the Monte-Carlo harness."""
 
 import logging
+import os
 import types
 
 import numpy as np
@@ -308,9 +309,15 @@ class TestDeterminism:
         monkeypatch.setenv("SCALING_LENS_THREADS", "3")
         assert resolve_threads(None) == 3
         assert resolve_threads(2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.setenv("SCALING_LENS_THREADS", "0")
+        assert resolve_threads(None) == 5
+        assert resolve_threads(0) == 5
+        monkeypatch.setenv("SCALING_LENS_THREADS", "two")
         with pytest.raises(ValueError):
             resolve_threads(None)
+        with pytest.raises(ValueError):
+            resolve_threads(-1)
 
 
 class TestBackends:

@@ -1,4 +1,4 @@
-"""Tests for density evolution, threshold bisection, and the waterfall law."""
+"""Tests for density evolution, the threshold solver, and the waterfall law."""
 
 import math
 
@@ -10,6 +10,7 @@ from scipy import integrate
 
 from scaling_lens.degree import DegreeModel, PolynomialPair, eval_gen
 from scaling_lens.peeling import mc_parent_graph_erasure
+from scaling_lens import threshold
 from scaling_lens.threshold import (
     DegenerateThreshold,
     ThresholdSolution,
@@ -20,6 +21,7 @@ from scaling_lens.threshold import (
     prob_concept_unlearned,
     qfunc,
     scaling_alpha,
+    _trivial_branch,
 )
 
 # classical (3,6)-regular pair: lam(x) = x^2, rho(x) = x^5
@@ -37,6 +39,49 @@ def dense_grid_threshold(pair, dx=1e-6):
     denom = pair.lam(1.0 - pair.rho(1.0 - x))
     ratio = np.where(denom > 0, x / np.where(denom > 0, denom, 1.0), np.inf)
     return float(ratio.min())
+
+
+def dense_geometric_threshold(model, points=1 << 22, chunk=1 << 17):
+    """Min of x / g(x) over `points` geometric x in [1e-9, 1], capped at 1.
+
+    The direct characterization evaluated on a grid ~2000x denser than
+    the solver's, chunked to keep memory small.
+    """
+    log_x = np.linspace(math.log(1e-9), 0.0, points)
+    best = math.inf
+    for start in range(0, points, chunk):
+        x = np.exp(log_x[start : start + chunk])
+        g = model.lam(1.0 - model.rho(1.0 - x))
+        with np.errstate(divide="ignore"):
+            best = min(best, float(np.min(x / g)))
+    return min(1.0, best)
+
+
+def first_eps_with_fixed_point(model, eps_from, step, points=1 << 20):
+    """Dense eps scan of the solver's predicate, independent of its min search.
+
+    The predicate is "f(x, eps) >= x for some x > cut(eps)", with the junk
+    cut max(1e-9, min(2*x_triv, 4*eps*lam(0) + 1e-9)) spelled out here.  x
+    runs over a dense geometric grid plus a ladder of points just above the
+    cut: where x/g(x) rises with slope near 1 past the cut, a grid step of
+    dx shifts the scan's answer by ~dx/(1 - slope), which the ladder
+    removes.  Returns the first scanned eps where the predicate holds; the
+    scan must start where it does not.
+    """
+    grid = np.geomspace(1e-9, 1.0, points)
+    lam0 = float(model.lam(0.0))
+
+    def holds(eps):
+        cut = max(1e-9, min(2.0 * _trivial_branch(model, eps), 4.0 * eps * lam0 + 1e-9))
+        x = np.concatenate((cut * (1.0 + np.geomspace(1e-12, 1e-3, 400)), grid[grid > cut]))
+        x = x[x <= 1.0]
+        return bool(np.any(eps * model.lam(1.0 - model.rho(1.0 - x)) >= x))
+
+    assert not holds(eps_from)
+    eps = eps_from
+    while not holds(eps):
+        eps += step
+    return eps
 
 
 class TestQFunction:
@@ -140,6 +185,59 @@ class TestFindThreshold:
             s1 = find_threshold(DegreeModel(R=R, T=T1, d_t=d_t))
             s2 = find_threshold(DegreeModel(R=R, T=T2, d_t=d_t))
             assert s2.eps_star >= s1.eps_star - 1e-6
+
+    def test_random_models_match_dense_minimum(self):
+        """Clean models (lam(0) <= 1e-9): eps_star is the dense min of x/g(x).
+
+        Default settings agree to 1e-8, the optimizer's coarse settings
+        (512 points, one zoom pass) to 1e-5.
+        """
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 24:
+            R = int(np.exp(rng.uniform(np.log(50), np.log(2e6))))
+            d_t = float(rng.uniform(1.5, 9.0))
+            T = int(R * rng.uniform(21.0, 60.0) / d_t)
+            model = DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9)))
+            if model.lam(0.0) > 1e-9:
+                continue
+            oracle = dense_geometric_threshold(model)
+            full = find_threshold(model)
+            coarse = find_threshold(model, grid_points=512, refine_passes=1)
+            assert abs(full.eps_star - oracle) <= 1e-8, (model, full.eps_star, oracle)
+            assert abs(coarse.eps_star - oracle) <= 1e-5, (model, coarse.eps_star, oracle)
+            assert not full.on_junk_cut
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "R, T",
+        [(65195, 15977), (206166, 50525), (5242, 1907), (605, 165), (206, 48)],
+    )
+    def test_junk_dominated_models_match_predicate_scan(self, R, T, monkeypatch):
+        """Large lam(0) puts the minimum on the junk cut itself.
+
+        eps_star lies within one 1e-4 step of the first eps where a dense
+        scan finds a fixed point above the cut, and the solve takes few
+        evaluations of the cut (one per pass).
+        """
+        model = DegreeModel(R=R, T=T, d_t=6.0)
+        assert model.lam(0.0) > 0.05
+        passes = []
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return _trivial_branch(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, "_trivial_branch", counted)
+        full = find_threshold(model)
+        assert len(passes) <= 20
+        coarse = find_threshold(model, grid_points=512, refine_passes=1)
+        monkeypatch.undo()
+        step = 1e-4
+        first = first_eps_with_fixed_point(model, full.eps_star - 50 * step, step)
+        assert full.on_junk_cut and coarse.on_junk_cut
+        assert abs(full.eps_star - first) <= step
+        assert abs(coarse.eps_star - first) <= step
 
 
 class TestMatchingUpperBound:
