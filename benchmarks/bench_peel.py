@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the compiled peeling kernel against the pure-Python fallback.
+"""Compare the compiled peeling kernel against the numpy fallback.
 
 Runs the same Monte-Carlo workload under both kernels (selected through
 SCALING_LENS_PEEL_BACKEND), checks that per-trial outputs are identical,

@@ -3,7 +3,7 @@
 The package is pure Python apart from ``scaling_lens._peel``, a Cython
 translation of the peeling inner loop.  If Cython or a C compiler is
 unavailable the extension is skipped and the package falls back to the
-pure-Python kernel at import time.
+numpy kernel at import time.
 """
 
 import sys
@@ -31,7 +31,7 @@ class optional_build_ext(build_ext):
     def _warn(exc):
         print(
             f"WARNING: building scaling_lens._peel failed ({exc}); "
-            "falling back to the pure-Python peeling kernel",
+            "falling back to the numpy peeling kernel",
             file=sys.stderr,
         )
 

@@ -1,8 +1,8 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
 """Compiled peeling kernel.
 
-Mirrors scaling_lens._peel_py.peel_kernel exactly; see that module for
-the algorithm description.  All buffers are caller-allocated:
+Same contract as scaling_lens._peel_py.peel_kernel, but peels one text
+at a time from a stack.  All buffers are caller-allocated:
 
 - rev_indptr/rev_indices: reverse CSR (concept -> incident texts)
 - cnt[t]:  number of unknown, unlearned neighbors of text t

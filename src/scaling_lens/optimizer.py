@@ -128,16 +128,13 @@ def _solve_threshold(model: DegreeModel, coarse: bool) -> ThresholdSolution:
 def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
     """Post-peeling erasure rate at the model's operating epsilon.
 
-    The waterfall law alone below/at threshold; joined with the DE
-    fixed-point rate strictly above threshold and in the no-transition
-    regimes, where the frozen-at-threshold law cannot follow the truth.
-    A threshold on the junk cut has no tangency and hence no waterfall:
-    there the decoder ends on the junk branch, which only DE follows.
+    ``bit_erasure_rate`` alone below/at threshold and on the junk cut
+    (where it already is the DE rate); joined with the DE fixed-point
+    rate strictly above threshold and in the no-transition regimes,
+    where the frozen-at-threshold law cannot follow the truth.
     """
-    if sol.on_junk_cut:
-        return de_bit_erasure(model, model.epsilon)
     law = bit_erasure_rate(model, sol)
-    if not sol.no_transition and model.epsilon <= sol.eps_star:
+    if sol.on_junk_cut or (not sol.no_transition and model.epsilon <= sol.eps_star):
         return law
     return max(law, de_bit_erasure(model, model.epsilon))
 

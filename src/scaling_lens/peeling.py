@@ -8,9 +8,10 @@ order in which eligible texts are processed, so any two correct
 implementations agree exactly, and the residual unknown concepts always
 form a stopping set (no text sees exactly one of them).
 
-Two kernels implement the inner loop: a Cython extension and a pure
-Python fallback with identical semantics.  Selection is automatic with
-an env-var override, see :func:`active_backend`.
+Two kernels implement the inner loop under one contract: a Cython
+extension that peels one text at a time, and a round-parallel numpy
+fallback.  Selection is automatic with an env-var override, see
+:func:`active_backend`.
 
 Sampling draws edge positions on the flattened T*R grid by geometric
 gap skipping, which reproduces i.i.d. Bernoulli(p) cells exactly in
@@ -125,18 +126,19 @@ class BipartiteGraph:
     def text_neighbors(self, t: int) -> np.ndarray:
         return self.indices[self.indptr[t]:self.indptr[t + 1]]
 
+    def text_ids(self) -> np.ndarray:
+        """The text of every edge, in CSR order."""
+        return np.repeat(np.arange(self.n_texts, dtype=np.int64), np.diff(self.indptr))
+
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concept -> incident texts adjacency, built on demand."""
-        degrees = np.diff(self.indptr)
-        text_ids = np.repeat(
-            np.arange(self.n_texts, dtype=np.int64), degrees
-        )
-        order = np.argsort(self.indices, kind="stable")
-        rev_indices = text_ids[order]
-        counts = np.bincount(self.indices, minlength=self.n_concepts)
-        rev_indptr = np.zeros(self.n_concepts + 1, dtype=np.int64)
-        np.cumsum(counts, out=rev_indptr[1:])
-        return rev_indptr, np.ascontiguousarray(rev_indices, dtype=np.int64)
+        """Concept -> incident texts adjacency (texts ascending), built on demand.
+
+        Sorts the keys concept*T + text; they fit in int64 because the T*R grid does.
+        """
+        T = self.n_texts
+        key = np.sort(self.indices.astype(np.int64, copy=False) * T + self.text_ids())
+        rev_indptr = np.searchsorted(key, np.arange(self.n_concepts + 1, dtype=np.int64) * T)
+        return rev_indptr, key % T
 
 
 @dataclass(frozen=True)
@@ -236,17 +238,14 @@ def sample_graph(R: int, T: int, p: float, seed: int) -> BipartiteGraph:
 def _peel_masked(graph: BipartiteGraph, unknown: np.ndarray) -> tuple[np.ndarray, int]:
     """Run the kernel with the given unknown-concept mask (uint8)."""
     rev_indptr, rev_indices = graph.reverse_csr()
-    degrees = np.diff(graph.indptr)
-    text_ids = np.repeat(np.arange(graph.n_texts, dtype=np.int64), degrees)
-    edge_unknown = unknown[graph.indices].astype(bool)
+    text_ids = graph.text_ids()
+    edge_unknown = unknown[graph.indices]
     cnt = np.bincount(
-        text_ids[edge_unknown], minlength=graph.n_texts
+        text_ids, weights=edge_unknown, minlength=graph.n_texts
     ).astype(np.int64)
     # float64 holds id sums exactly here (everything stays far below 2^53)
     ssum = np.bincount(
-        text_ids[edge_unknown],
-        weights=graph.indices[edge_unknown].astype(np.float64),
-        minlength=graph.n_texts,
+        text_ids, weights=edge_unknown * graph.indices, minlength=graph.n_texts
     ).astype(np.int64)
     learned = np.zeros(graph.n_concepts, dtype=np.uint8)
     stack = np.empty(graph.n_texts + 1, dtype=np.int64)
@@ -279,10 +278,8 @@ def peel(graph: BipartiteGraph, unknown: np.ndarray | None = None) -> PeelingOut
 def is_stopping_set(graph: BipartiteGraph, concept_mask: np.ndarray) -> bool:
     """True when no text has exactly one neighbor inside the mask."""
     mask = np.asarray(concept_mask).astype(bool)
-    degrees = np.diff(graph.indptr)
-    text_ids = np.repeat(np.arange(graph.n_texts, dtype=np.int64), degrees)
     edge_in = mask[graph.indices]
-    per_text = np.bincount(text_ids[edge_in], minlength=graph.n_texts)
+    per_text = np.bincount(graph.text_ids()[edge_in], minlength=graph.n_texts)
     return not np.any(per_text == 1)
 
 

@@ -339,11 +339,14 @@ def bit_erasure_rate(model: DegreeModel, sol: ThresholdSolution) -> float:
     Evaluated at the model's operating erasure fraction; the sqrt scale is
     the parent-graph size R/eps.  A no-transition solution decodes at any
     eps, so its law value is 0.  Deep in either regime the Q factor
-    saturates to 0 or 1 on its own.
+    saturates to 0 or 1 on its own.  On the junk cut, which has no
+    waterfall, the rate is the density-evolution one.
     """
     if sol.no_transition:
         return 0.0
     eps = model.epsilon
+    if sol.on_junk_cut:
+        return de_bit_erasure(model, eps)
     z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
     return sol.nu_star * qfunc(z)
 

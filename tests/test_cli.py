@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from scaling_lens import cli
+from scaling_lens.degree import DegreeModel
+from scaling_lens.peeling import mc_parent_graph_erasure
 
 
 def write_config(tmp_path, text, name="run.txt"):
@@ -135,6 +137,17 @@ class TestThresholdCommand:
         # the dense 4M-point minimum of x/g(x) for this model
         np.testing.assert_allclose(float(cells[4]), 0.498872999794601, rtol=1e-9)
         assert cells[8] == "0"
+
+    def test_junk_cut_rate_matches_monte_carlo(self, tmp_path, monkeypatch):
+        """A threshold on the junk cut reports the simulated stall, not the law's half of it."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "R = 206\nT = 48\nd_t = 6\nepsilon = 0.5\nout = j.csv\n")
+        assert run_cli(["threshold", "--config", cfg]) == 0
+        cells = (tmp_path / "j.csv").read_bytes().split(b"\r\n")[1].decode().split(",")
+        mc = mc_parent_graph_erasure(
+            DegreeModel(R=206, T=48, d_t=6.0, epsilon=0.5), trials=400, seed=1
+        )
+        assert abs(float(cells[10]) - mc.mean) <= 3.0 * mc.stderr
 
     def test_no_transition_uses_empty_cells(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+from scaling_lens import _peel_py
 from scaling_lens.degree import DegreeModel
 from scaling_lens.optimizer import effective_bit_erasure
 from scaling_lens.peeling import (
@@ -61,6 +62,31 @@ def exhaustive_fixpoint(graph, unknown=None):
                 live -= hit
                 changed = True
     return live
+
+
+def run_numpy_kernel(graph, unknown):
+    """Run the numpy kernel on counters built row by row from the graph.
+
+    Returns (count, learned, cnt, ssum) after peeling.
+    """
+    unknown = np.asarray(unknown).astype(bool)
+    rows = [graph.text_neighbors(t) for t in range(graph.n_texts)]
+    cnt = np.array([unknown[row].sum() for row in rows], dtype=np.int64)
+    ssum = np.array([row[unknown[row]].sum() for row in rows], dtype=np.int64)
+    learned = np.zeros(graph.n_concepts, dtype=np.uint8)
+    rev_indptr, rev_indices = graph.reverse_csr()
+    stack = np.empty(graph.n_texts + 1, dtype=np.int64)
+    n = _peel_py.peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned, stack)
+    return n, learned, cnt, ssum
+
+
+def assert_final_counters(graph, unknown, learned, cnt, ssum):
+    """cnt/ssum count and sum exactly the unknown neighbors left unlearned."""
+    residual = np.asarray(unknown).astype(bool) & (learned == 0)
+    for t in range(graph.n_texts):
+        row = graph.text_neighbors(t)
+        assert cnt[t] == residual[row].sum()
+        assert ssum[t] == row[residual[row]].sum()
 
 
 def random_order_peel(graph, rng):
@@ -201,6 +227,80 @@ class TestPeel:
             rows = [g.text_neighbors(t).tolist() for t in range(T)] + [sorted(extra.tolist())]
             bigger = graph_from_rows(R, rows)
             assert peel(g).learned <= peel(bigger).learned
+
+
+class TestNumpyKernel:
+    def test_partial_masks_match_exhaustive_fixpoint(self):
+        """200 seeded random graphs with partial unknown masks."""
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            R = int(rng.integers(1, 30))
+            T = int(rng.integers(0, 40))
+            p = float(rng.uniform(0.02, 0.4))
+            g = sample_graph(R=R, T=T, p=p, seed=int(rng.integers(2**32)))
+            unknown = (rng.random(R) < rng.uniform(0.2, 1.0)).astype(np.uint8)
+            n, learned, cnt, ssum = run_numpy_kernel(g, unknown)
+            expected = set(np.flatnonzero(unknown).tolist()) - exhaustive_fixpoint(g, unknown)
+            assert set(np.flatnonzero(learned).tolist()) == expected
+            assert n == int(learned.sum())
+            assert_final_counters(g, unknown, learned, cnt, ssum)
+
+    def test_concept_resolved_twice_in_one_round_counts_once(self):
+        # texts 0 and 1 both name concept 0 in the first round; text 2
+        # then names concept 1
+        g = graph_from_rows(2, [[0], [0], [0, 1]])
+        unknown = np.ones(2, dtype=np.uint8)
+        n, learned, cnt, ssum = run_numpy_kernel(g, unknown)
+        assert n == 2
+        assert learned.tolist() == [1, 1]
+        assert cnt.tolist() == [0, 0, 0]
+        assert ssum.tolist() == [0, 0, 0]
+
+    def test_path_learns_one_concept_per_round(self):
+        """Text i needs concept i-1 first, so each round learns one concept."""
+        n_path = 3000
+        rows = [[0]] + [[i - 1, i] for i in range(1, n_path)]
+        g = graph_from_rows(n_path, rows)
+        unknown = np.ones(n_path, dtype=np.uint8)
+        n, learned, cnt, ssum = run_numpy_kernel(g, unknown)
+        assert n == n_path
+        assert learned.all()
+        assert not cnt.any() and not ssum.any()
+
+    def test_empty_and_complete_graphs(self):
+        empty = sample_graph(R=5, T=0, p=0.5, seed=1)
+        n, learned, cnt, ssum = run_numpy_kernel(empty, np.ones(5, dtype=np.uint8))
+        assert n == 0 and not learned.any() and cnt.size == ssum.size == 0
+        full = sample_graph(R=4, T=3, p=1.0, seed=1)
+        n, learned, cnt, ssum = run_numpy_kernel(full, np.ones(4, dtype=np.uint8))
+        assert n == 0 and cnt.tolist() == [4, 4, 4] and ssum.tolist() == [6, 6, 6]
+        one_unknown = np.array([0, 0, 1, 0], dtype=np.uint8)
+        n, learned, cnt, ssum = run_numpy_kernel(full, one_unknown)
+        assert n == 1 and learned.tolist() == [0, 0, 1, 0]
+        assert_final_counters(full, one_unknown, learned, cnt, ssum)
+        single = sample_graph(R=1, T=5, p=1.0, seed=1)
+        assert run_numpy_kernel(single, np.ones(1, dtype=np.uint8))[0] == 1
+
+    def test_reverse_csr_matches_stable_argsort(self):
+        rng = np.random.default_rng(12)
+        graphs = [
+            sample_graph(R=7, T=0, p=0.5, seed=1),
+            sample_graph(R=5, T=9, p=1.0, seed=1),
+            graph_from_rows(4, [[], [3], [], [0, 1, 3]]),
+        ]
+        for _ in range(50):
+            R = int(rng.integers(1, 60))
+            T = int(rng.integers(0, 90))
+            p = float(rng.uniform(0.0, 0.5))
+            graphs.append(sample_graph(R=R, T=T, p=p, seed=int(rng.integers(2**32))))
+        for g in graphs:
+            text_ids = np.repeat(np.arange(g.n_texts, dtype=np.int64), np.diff(g.indptr))
+            counts = np.bincount(g.indices, minlength=g.n_concepts)
+            rev_indptr, rev_indices = g.reverse_csr()
+            assert rev_indptr.dtype == rev_indices.dtype == np.int64
+            assert rev_indices.flags.c_contiguous
+            assert np.array_equal(rev_indptr, np.concatenate([[0], np.cumsum(counts)]))
+            assert np.array_equal(rev_indices, text_ids[np.argsort(g.indices, kind="stable")])
 
 
 class TestIsStoppingSet:

@@ -391,6 +391,30 @@ class TestBitErasureRate:
         assert abs(law - mc.mean) <= 3.0 * max(mc.stderr, 1.0 / 1000)
 
 
+class TestJunkCutErasure:
+    """On the junk cut the erasure rate is density evolution's, not the law's.
+
+    R=206, T=48, d_t=6, eps=0.5: the waterfall law would give 0.246
+    against 0.498 from the independent parent-graph simulation.
+    """
+
+    MODEL = DegreeModel(R=206, T=48, d_t=6.0, epsilon=0.5)
+
+    @pytest.fixture(scope="class")
+    def mc(self):
+        return mc_parent_graph_erasure(self.MODEL, trials=400, seed=1)
+
+    def test_bit_erasure_rate_matches_monte_carlo(self, mc):
+        sol = find_threshold(self.MODEL)
+        assert sol.on_junk_cut and not sol.no_transition
+        assert abs(bit_erasure_rate(self.MODEL, sol) - mc.mean) <= 3.0 * mc.stderr
+
+    def test_prob_concept_unlearned_matches_monte_carlo(self, mc):
+        sol = find_threshold(self.MODEL)
+        got = prob_concept_unlearned(self.MODEL, sol)
+        assert abs(got - mc.mean / 0.5) <= 3.0 * mc.stderr / 0.5
+
+
 class TestProbConceptUnlearned:
     def test_zero_rate_gives_zero(self):
         m = DegreeModel(R=100, T=300, d_t=4.0, epsilon=0.5)
