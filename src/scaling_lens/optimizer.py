@@ -17,6 +17,11 @@ rich (DE -> 0, every concept learnable) and subcritical (DE stalls
 high, the curve tail collapses).  Monte-Carlo runs back this choice;
 the all-law objective overshoots the failure regime by an order of
 magnitude.
+
+The objective is clamped to [0, R], which prunes the optimizer's coarse
+scan: walked from the largest R down, it stops at the first R below the
+best objective found, since no smaller R can exceed it.  isoflop_curve
+returns every point and so evaluates the whole grid.
 """
 
 from __future__ import annotations
@@ -252,13 +257,33 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     return count
 
 
+def _coarse_argmax(grid: np.ndarray, spec: BudgetSpec) -> int:
+    """Index of the best coarse objective on an ascending R grid.
+
+    The objective never exceeds R, so walking down from the largest R no
+    row below the first R < best can win.  Updating on >= keeps the
+    smallest R among ties, the index np.argmax over the full grid gives.
+    """
+    j, best = grid.size - 1, -math.inf
+    for k in range(grid.size - 1, -1, -1):
+        if grid[k] < best:
+            break
+        v = _evaluate(int(grid[k]), spec, coarse=True)[0]
+        if v >= best:
+            j, best = k, v
+    return j
+
+
 def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     """Maximize expected concepts learned subject to R*T <= C'.
 
     Coarse geometric scan at 64 points per decade, then golden-section
     refinement on log R around the best coarse point; evaluation always
-    happens at integer (R, T).  Small budgets fall through to an
-    exhaustive integer scan.
+    happens at integer (R, T).  The coarse scan runs from the largest R
+    down and stops at the first grid R below the best value so far: the
+    objective is at most R, so no smaller R can beat it.  It picks the
+    same point as a full scan, the smallest R among ties.  Small budgets
+    fall through to an exhaustive integer scan.
     """
     r_lo, r_hi = _r_bounds(spec)
     if r_hi < r_lo:
@@ -277,10 +302,7 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
         best_r = max(range(r_lo, r_hi + 1), key=lambda r: full(r)[0])
     else:
         grid = _geometric_ints(r_lo, r_hi, COARSE_POINTS_PER_DECADE)
-        coarse_vals = [
-            _evaluate(int(r), spec, coarse=True)[0] for r in grid
-        ]
-        j = int(np.argmax(coarse_vals))
+        j = _coarse_argmax(grid, spec)
         lo = float(grid[max(0, j - 1)])
         hi = float(grid[min(grid.size - 1, j + 1)])
         a, b = math.log(lo), math.log(hi)

@@ -26,9 +26,13 @@ x = 0 and restricting the minimum to x above twice the limit; for clean
 operating points the branch sits far below the 1e-9 grid floor and the
 exclusion is inert.  The exclusion is capped at a few times the seed mass
 eps*lam(0): once the orbit from 0 climbs past that scale the junk branch
-has merged with a genuine fixed point, which must count.  As this cut
-depends on eps, find_threshold iterates eps <- min x/g(x) down from eps_hi
-and, where the minimum sits on the cut, solves for the crossing instead.
+has merged with a genuine fixed point, which must count.  As the orbit
+from 0 never decreases, it stops as soon as twice its value reaches that
+cap: the cut is then the cap whatever the limit, so junk-dominated models
+need a few DE steps per cut instead of hundreds.  (de_fixed_point needs
+the exact limit and runs the full orbit.)  As this cut depends on eps,
+find_threshold iterates eps <- min x/g(x) down from eps_hi and, where the
+minimum sits on the cut, solves for the crossing instead.
 """
 
 from __future__ import annotations
@@ -103,26 +107,42 @@ def _scalar_de(model, x: float, eps: float) -> float:
     return eps * model._scalar_lam(1.0 - model._scalar_rho(1.0 - x))
 
 
-def _iterate(model, eps: float, x0: float, max_iter: int, stop_below: float = -1.0):
-    """Iterate the DE map from x0 until it converges or drops below stop_below.
+def _iterate(
+    model,
+    eps: float,
+    x0: float,
+    max_iter: int,
+    stop_below: float = -1.0,
+    stop_above: float = math.inf,
+):
+    """Iterate the DE map from x0 until it converges or leaves (stop_below, stop_above).
 
     The map is monotone in x so orbits are monotone; from above they bound
-    the nearest fixed point from above at every step.
+    the nearest fixed point from above at every step.  Hitting max_iter
+    returns the current iterate and logs it at debug level.
     """
     x = x0
     for _ in range(max_iter):
         x_next = _scalar_de(model, x, eps)
-        if x_next <= stop_below:
+        if x_next <= stop_below or x_next >= stop_above:
             return x_next
         if abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
             return x_next
         x = x_next
+    logger.debug("DE iteration cap %d hit at eps=%.12g, x=%.12g", max_iter, eps, x)
     return x
 
 
-def _trivial_branch(model, eps: float, max_iter: int = 2000) -> float:
-    """Smallest DE fixed point, reached by iterating upward from x = 0."""
-    return _iterate(model, eps, 0.0, max_iter)
+def _trivial_branch(
+    model, eps: float, max_iter: int = 2000, stop_above: float = math.inf
+) -> float:
+    """Smallest DE fixed point, reached by iterating upward from x = 0.
+
+    The orbit from 0 never decreases, so once it reaches stop_above every
+    later iterate, the fixed point included, lies at or above it; the
+    orbit stops there and returns that iterate.
+    """
+    return _iterate(model, eps, 0.0, max_iter, stop_above=stop_above)
 
 
 def de_fixed_point(model, eps: float, max_iter: int = 30000) -> float:
@@ -220,9 +240,10 @@ def find_threshold(
         # the junk fixed point stays within a small factor of its seed
         # eps*lam(0) while genuinely separated; an orbit that climbs past
         # 4x the seed has merged with a real fixed point, so the cut must
-        # not exclude it
-        x_triv = _trivial_branch(model, eps)
+        # not exclude it; once 2*x reaches the cap the cut is the cap, so
+        # the orbit stops there
         junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
+        x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
         cut = max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
         return _min_above(model, cut, grid, ratio, refine_passes)
 

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from scaling_lens import optimizer
 from scaling_lens.degree import DegreeModel
 from scaling_lens.optimizer import (
+    COARSE_POINTS_PER_DECADE,
     BudgetSpec,
     EmptyGrid,
     InsufficientPoints,
@@ -17,6 +19,9 @@ from scaling_lens.optimizer import (
     optimize_budget,
     scaling_exponents,
     smooth3,
+    _coarse_argmax,
+    _geometric_ints,
+    _r_bounds,
 )
 from scaling_lens.peeling import mc_expected_learned
 from scaling_lens.threshold import find_threshold
@@ -187,6 +192,57 @@ class TestOptimizeBudget:
         opt = optimize_budget(spec)
         assert opt.N_star == 3.0 * opt.R_star
         assert opt.D_star == 5.0 * opt.T_star
+
+
+# configs/frontier_paper_scale.txt
+FRONTIER_SPECS = [
+    BudgetSpec(C=float(c), varsigma=2e5, tau=8e5, d_t=6.0, epsilon=0.5)
+    for c in np.geomspace(1e21, 1e25, 9)
+]
+
+
+def coarse_grid(spec):
+    return _geometric_ints(*_r_bounds(spec), COARSE_POINTS_PER_DECADE)
+
+
+class TestPrunedCoarseScan:
+    def test_matches_full_scan_argmax(self, desk_specs):
+        """The descending scan stops early yet picks the full scan's index."""
+        for spec in FRONTIER_SPECS + desk_specs:
+            grid = coarse_grid(spec)
+            full = isoflop_curve(spec)
+            np.testing.assert_array_equal(full.R, grid)
+            assert _coarse_argmax(grid, spec) == int(np.argmax(full.objective)), spec
+
+    def test_evaluates_fewer_rows_than_grid(self, monkeypatch):
+        calls = []
+        evaluate = optimizer._evaluate
+
+        def counted(R, spec, coarse, T=None):
+            calls.append(coarse)
+            return evaluate(R, spec, coarse, T)
+
+        monkeypatch.setattr(optimizer, "_evaluate", counted)
+        for spec in FRONTIER_SPECS:
+            calls.clear()
+            optimize_budget(spec)
+            assert 0 < sum(calls) < coarse_grid(spec).size, spec
+
+    def test_tie_keeps_smallest_R(self, monkeypatch):
+        """Two separate rows share the best value; the smaller R wins."""
+        spec = BudgetSpec(C=6e6, d_t=6.0)
+        grid = coarse_grid(spec)
+        i0, i1 = 40, 150
+        top = float(grid[i0])
+
+        def fake(R, spec, coarse, T=None):
+            value = top if R in (grid[i0], grid[i1]) else 0.5 * top
+            return min(float(R), value), 0.5, int(spec.C_prime // R)
+
+        monkeypatch.setattr(optimizer, "_evaluate", fake)
+        values = [fake(int(r), spec, True)[0] for r in grid]
+        assert values[i0] == values[i1] == max(values)
+        assert _coarse_argmax(grid, spec) == int(np.argmax(values)) == i0
 
 
 class TestScalingExponents:

@@ -1,5 +1,6 @@
 """Tests for density evolution, the threshold solver, and the waterfall law."""
 
+import logging
 import math
 
 import mpmath
@@ -230,7 +231,7 @@ class TestFindThreshold:
 
         monkeypatch.setattr(threshold, "_trivial_branch", counted)
         full = find_threshold(model)
-        assert len(passes) <= 20
+        assert 1 <= len(passes) <= 20
         coarse = find_threshold(model, grid_points=512, refine_passes=1)
         monkeypatch.undo()
         step = 1e-4
@@ -238,6 +239,73 @@ class TestFindThreshold:
         assert full.on_junk_cut and coarse.on_junk_cut
         assert abs(full.eps_star - first) <= step
         assert abs(coarse.eps_star - first) <= step
+
+
+class TestJunkOrbitEarlyStop:
+    def test_solutions_match_full_orbit(self, monkeypatch):
+        """Stopping the orbit from 0 at half the junk cap changes no solution.
+
+        The reference runs the same solver with _trivial_branch ignoring
+        stop_above, so every cut comes from the converged orbit.
+        """
+        rng = np.random.default_rng(31)
+        models = [DegreeModel(R=206, T=48, d_t=6.0), DegreeModel(R=65195, T=15977, d_t=6.0)]
+        for _ in range(300):
+            R = int(np.exp(rng.uniform(np.log(20), np.log(2e6))))
+            d_t = float(rng.uniform(1.0, 9.0))
+            T = max(1, int(R * rng.uniform(0.5, 40.0) / d_t))
+            models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
+        settings = ({}, {"grid_points": 512, "refine_passes": 1})
+
+        def solve_all():
+            out = []
+            for model in models:
+                for kw in settings:
+                    try:
+                        out.append(find_threshold(model, **kw))
+                    except DegenerateThreshold as exc:
+                        out.append(repr(exc))
+            return out
+
+        stopped = solve_all()
+        early = []
+
+        def full_orbit(model, eps, max_iter=2000, stop_above=math.inf):
+            x = _trivial_branch(model, eps, max_iter)
+            early.append(stop_above <= x)
+            return x
+
+        monkeypatch.setattr(threshold, "_trivial_branch", full_orbit)
+        reference = solve_all()
+        assert stopped == reference
+        on_cut = sum(isinstance(s, ThresholdSolution) and s.on_junk_cut for s in stopped)
+        assert on_cut >= 10
+        assert any(early)
+
+    def test_stops_at_the_cap_scale(self):
+        model = DegreeModel(R=206, T=48, d_t=6.0)
+        eps = 0.51
+        half_cap = 2.0 * eps * float(model.lam(0.0))
+        limit = _trivial_branch(model, eps)
+        x = _trivial_branch(model, eps, stop_above=half_cap)
+        assert half_cap <= x < limit
+
+
+class TestIterationCapLogging:
+    def test_cap_hit_logs_once_with_eps_and_x(self, caplog):
+        model = DegreeModel(R=206, T=48, d_t=6.0)
+        with caplog.at_level(logging.DEBUG, logger="scaling_lens.threshold"):
+            x = _trivial_branch(model, 0.5, max_iter=3)
+        records = [r for r in caplog.records if "cap" in r.getMessage()]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "eps=0.5" in records[0].getMessage()
+        assert f"x={x:.12g}" in records[0].getMessage()
+
+    def test_converged_orbit_is_silent(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="scaling_lens.threshold"):
+            threshold.de_fixed_point(DegreeModel(R=1000, T=4500, d_t=6.0), 0.5)
+        assert not [r for r in caplog.records if "cap" in r.getMessage()]
 
 
 class TestMatchingUpperBound:
