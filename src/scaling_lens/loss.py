@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .degree import DegreeModel
 from .optimizer import BudgetSpec, effective_bit_erasure, optimize_budget
-from .threshold import find_threshold
 
 __all__ = [
     "APPROX_CONSTANT_DISCREPANCY",
@@ -127,8 +126,7 @@ def frontier_loss_curve(specs: list[BudgetSpec]) -> list[FrontierRow]:
         model = DegreeModel(
             R=opt.R_star, T=opt.T_star, d_t=spec.d_t, epsilon=spec.epsilon
         )
-        sol = find_threshold(model)
-        p_raw = effective_bit_erasure(model, sol)
+        p_raw = effective_bit_erasure(model, opt.solution)
         point = loss_point(p_raw, opt.R_star, spec.d_t, spec.epsilon)
         rows.append(
             FrontierRow(

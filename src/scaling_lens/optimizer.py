@@ -18,15 +18,22 @@ high, the curve tail collapses).  Monte-Carlo runs back this choice;
 the all-law objective overshoots the failure regime by an order of
 magnitude.
 
-The objective is clamped to [0, R], which prunes the optimizer's coarse
-scan: walked from the largest R down, it stops at the first R below the
-best objective found, since no smaller R can exceed it.  isoflop_curve
-returns every point and so evaluates the whole grid.
+The optimizer's scan rules most rows out without a threshold solve, by
+a closed-form bound on each row's objective.  The objective is clamped
+to [0, R], so R bounds it everywhere.  Where eps exceeds the
+edge-matching upper bound on the threshold, eps also exceeds eps*, so
+the effective rate takes the DE branch; as L is increasing the DE rate
+is at least eps*L(0), the mass of concepts no text covers, and the
+objective is at most R*(1 - L(0)) = R*(1 - (1-p)**T).  Rows are solved
+in descending bound order until the bound falls below the best value
+found, which returns the full scan's argmax.  isoflop_curve returns
+every point and so evaluates the whole grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,7 @@ import numpy as np
 from .degree import DegreeModel
 from .threshold import (
     ThresholdSolution,
+    binomial_matching_bound,
     bit_erasure_rate,
     de_bit_erasure,
     find_threshold,
@@ -57,7 +65,7 @@ __all__ = [
 
 COARSE_POINTS_PER_DECADE = 64
 
-# half-width assigned to the near-exhaustive small-budget path
+# budgets with at most this many feasible R scan every integer R, with full solves
 EXHAUSTIVE_LIMIT = 4096
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -106,6 +114,7 @@ class OptimumPoint:
     D_star: float
     objective: float
     eps_star_at_opt: float
+    solution: ThresholdSolution
 
 
 @dataclass(frozen=True)
@@ -146,8 +155,8 @@ def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
 
 def _evaluate(
     R: int, spec: BudgetSpec, coarse: bool, T: int | None = None
-) -> tuple[float, float, int]:
-    """Objective, threshold, and T at one grid point (T = floor(C'/R) unless given)."""
+) -> tuple[float, ThresholdSolution, int]:
+    """Objective, threshold solution, and T at one grid point (T = floor(C'/R) unless given)."""
     if T is None:
         T = int(spec.C_prime // R)
     model = DegreeModel(R=R, T=T, d_t=spec.d_t, epsilon=spec.epsilon)
@@ -155,7 +164,7 @@ def _evaluate(
     p_b = effective_bit_erasure(model, sol)
     frac = min(1.0, p_b / spec.epsilon)
     value = min(float(R), max(0.0, R * (1.0 - frac)))
-    return value, sol.eps_star, T
+    return value, sol, T
 
 
 def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
@@ -201,7 +210,8 @@ def isoflop_curve(
     stars = np.empty(grid.size)
     texts = np.empty(grid.size, dtype=np.int64)
     for i, r in enumerate(grid):
-        values[i], stars[i], texts[i] = _evaluate(int(r), spec, coarse=True)
+        values[i], sol, texts[i] = _evaluate(int(r), spec, coarse=True)
+        stars[i] = sol.eps_star
     return IsoflopCurve(spec=spec, R=grid, T=texts, objective=values, eps_star=stars)
 
 
@@ -257,19 +267,48 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     return count
 
 
-def _coarse_argmax(grid: np.ndarray, spec: BudgetSpec) -> int:
-    """Index of the best coarse objective on an ascending R grid.
+def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
+    """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
-    The objective never exceeds R, so walking down from the largest R no
-    row below the first R < best can win.  Updating on >= keeps the
-    smallest R among ties, the index np.argmax over the full grid gives.
+    R*(1 - L(0)) = R*(1 - (1-p)**T) where eps exceeds the matching upper
+    bound on eps* (the rate then takes the DE branch, which is at least
+    eps*L(0)), R elsewhere.  The relative slacks 1e-6 on the matching
+    bound and 1e-9 on the product absorb roundoff.
     """
-    j, best = grid.size - 1, -math.inf
-    for k in range(grid.size - 1, -1, -1):
-        if grid[k] < best:
+    c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
+    bounds = []
+    for r in grid.tolist():
+        t = int(c // r)
+        if eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6):
+            bounds.append(-r * math.expm1(t * math.log1p(-d_t / r)) * (1.0 + 1e-9))
+        else:
+            bounds.append(float(r))
+    return np.array(bounds)
+
+
+def _coarse_argmax(
+    grid: np.ndarray, spec: BudgetSpec, objective: Callable[[int], float] | None = None
+) -> int:
+    """Index of the best objective on an ascending R grid, np.argmax's index.
+
+    Rows are visited in descending _row_bounds order (ties by ascending
+    index) and the scan stops at the first bound below the best value so
+    far: no row from there on can exceed it.  Updating on a larger value,
+    or an equal one at a smaller index, keeps the smallest R among ties.
+    objective defaults to the coarse solve; optimize_budget passes full
+    solves for its integer scan of small budgets.
+    """
+    if objective is None:
+        def objective(r: int) -> float:
+            return _evaluate(r, spec, coarse=True)[0]
+
+    bound = _row_bounds(grid, spec)
+    j, best = -1, -math.inf
+    for k in np.argsort(-bound, kind="stable").tolist():
+        if bound[k] < best:
             break
-        v = _evaluate(int(grid[k]), spec, coarse=True)[0]
-        if v >= best:
+        v = objective(int(grid[k]))
+        if v > best or (v == best and k < j):
             j, best = k, v
     return j
 
@@ -279,11 +318,14 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
 
     Coarse geometric scan at 64 points per decade, then golden-section
     refinement on log R around the best coarse point; evaluation always
-    happens at integer (R, T).  The coarse scan runs from the largest R
-    down and stops at the first grid R below the best value so far: the
-    objective is at most R, so no smaller R can beat it.  It picks the
-    same point as a full scan, the smallest R among ties.  Small budgets
-    fall through to an exhaustive integer scan.
+    happens at integer (R, T).  The coarse scan solves rows in descending
+    order of a closed-form bound on their objective and stops once the
+    bound falls below the best value so far.  The bound is R, as the
+    objective is clamped to [0, R]; where eps exceeds the edge-matching
+    upper bound on eps*, eps > eps* puts the rate on the DE branch, which
+    is at least eps*L(0), so the bound is R*(1 - L(0)).  It picks the same
+    point as a full scan, the smallest R among ties.  Small budgets run
+    the same bounded scan over every integer R, with full solves.
     """
     r_lo, r_hi = _r_bounds(spec)
     if r_hi < r_lo:
@@ -291,15 +333,16 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
             f"no feasible R: need R in [{r_lo}, C'={spec.C_prime:.3g}]"
         )
 
-    cache: dict[int, tuple[float, float, int]] = {}
+    cache: dict[int, tuple[float, ThresholdSolution, int]] = {}
 
-    def full(r: int) -> tuple[float, float, int]:
+    def full(r: int) -> tuple[float, ThresholdSolution, int]:
         if r not in cache:
             cache[r] = _evaluate(r, spec, coarse=False)
         return cache[r]
 
     if r_hi - r_lo + 1 <= EXHAUSTIVE_LIMIT:
-        best_r = max(range(r_lo, r_hi + 1), key=lambda r: full(r)[0])
+        every = np.arange(r_lo, r_hi + 1)
+        best_r = r_lo + _coarse_argmax(every, spec, lambda r: full(r)[0])
     else:
         grid = _geometric_ints(r_lo, r_hi, COARSE_POINTS_PER_DECADE)
         j = _coarse_argmax(grid, spec)
@@ -332,14 +375,15 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
         }
         best_r = max(candidates, key=lambda r: full(r)[0])
 
-    value, eps_star, t_star = full(best_r)
+    value, sol, t_star = full(best_r)
     return OptimumPoint(
         R_star=best_r,
         T_star=t_star,
         N_star=spec.varsigma * best_r,
         D_star=spec.tau * t_star,
         objective=value,
-        eps_star_at_opt=eps_star,
+        eps_star_at_opt=sol.eps_star,
+        solution=sol,
     )
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "de_bit_erasure",
     "find_threshold",
     "matching_upper_bound",
+    "binomial_matching_bound",
     "scaling_alpha",
     "bit_erasure_rate",
     "prob_concept_unlearned",
@@ -301,19 +302,24 @@ def _solution_constants(model, eps_star: float, x_star: float):
 
 
 def matching_upper_bound(model) -> float:
-    """Threshold upper bound from edge matching: integral of rho over integral of lam.
+    """Threshold upper bound from edge matching: integral of rho over integral of lam."""
+    if isinstance(model, PolynomialPair):
+        return model.rho_integral() / model.lam_integral()
+    return binomial_matching_bound(model.R, model.T, model.d_t, model.epsilon)
+
+
+def binomial_matching_bound(R: int, T: int, d_t: float, epsilon: float) -> float:
+    """matching_upper_bound of the binomial ensemble (R, T, d_t, epsilon), no model built.
 
     For exponent-form generating functions the integral of (p*x + 1-p)**(n-1)
     over [0, 1] is (1 - (1-p)**n) / (n*p), evaluated in log space.
     """
-    if isinstance(model, PolynomialPair):
-        return model.rho_integral() / model.lam_integral()
-    p = model.p
+    p = d_t / R
 
     def integral(n):
         return -math.expm1(n * math.log1p(-p)) / (n * p)
 
-    return integral(model.R / model.epsilon) / integral(float(model.T))
+    return integral(R / epsilon) / integral(float(T))
 
 
 def scaling_alpha(model, x_star: float, eps_star: float) -> float:

@@ -22,9 +22,10 @@ from scaling_lens.optimizer import (
     _coarse_argmax,
     _geometric_ints,
     _r_bounds,
+    _row_bounds,
 )
 from scaling_lens.peeling import mc_expected_learned
-from scaling_lens.threshold import find_threshold
+from scaling_lens.threshold import find_threshold, matching_upper_bound
 
 
 class TestBudgetSpec:
@@ -159,6 +160,31 @@ class TestOptimizeBudget:
         # the three budget-binding candidates dominate the scan
         assert best == max(values[k] for k in ((1, 4), (2, 2), (4, 1)))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [BudgetSpec(C=3600.0, d_t=6.0), BudgetSpec(C=1200.0, d_t=2.5, epsilon=0.3)],
+        ids=["C'=600", "C'=200,eps=0.3"],
+    )
+    def test_small_budget_matches_brute_force(self, spec):
+        """The bounded integer scan returns the first maximum over every R."""
+        r_lo, r_hi = _r_bounds(spec)
+        assert r_hi - r_lo + 1 <= optimizer.EXHAUSTIVE_LIMIT
+        values = {
+            r: expected_learned(r, int(spec.C_prime // r), spec)
+            for r in range(r_lo, r_hi + 1)
+        }
+        best_r = max(values, key=values.get)
+        opt = optimize_budget(spec)
+        assert (opt.R_star, opt.objective) == (best_r, values[best_r])
+
+    def test_carries_full_solution(self):
+        """The optimum keeps the full threshold solve of its own model."""
+        spec = BudgetSpec(C=6e6, d_t=6.0)
+        opt = optimize_budget(spec)
+        model = DegreeModel(R=opt.R_star, T=opt.T_star, d_t=6.0, epsilon=0.5)
+        assert opt.solution == find_threshold(model)
+        assert opt.eps_star_at_opt == opt.solution.eps_star
+
     def test_budget_binding(self):
         """R*T* <= C' with slack below one floor step, across a 100x C change."""
         for C in (6e5, 6e7):
@@ -243,6 +269,65 @@ class TestPrunedCoarseScan:
         values = [fake(int(r), spec, True)[0] for r in grid]
         assert values[i0] == values[i1] == max(values)
         assert _coarse_argmax(grid, spec) == int(np.argmax(values)) == i0
+
+
+# configs/isoflop_desk.txt
+ISOFLOP_DESK_SPECS = [BudgetSpec(C=c, d_t=6.0) for c in (6e5, 6e6, 6e7)]
+
+
+# sparse enough that rows below threshold learn more than R*(1 - L(0))
+# (R = 922, T = 1084: 916.1 against 895.1), as the waterfall law leaves no
+# floor for concepts in no text; there the bound must stay R
+SPARSE_SPEC = BudgetSpec(C=6e6, d_t=3.0)
+
+
+class TestRowBounds:
+    def test_bound_holds_on_every_coarse_row(self, desk_specs):
+        """No coarse row beats its closed-form bound.  Past the matching
+        bound every row takes the DE branch of effective_bit_erasure, the
+        premise of the R*(1 - L(0)) bound."""
+        for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS + [SPARSE_SPEC]:
+            grid = coarse_grid(spec)
+            for r, bound in zip(grid.tolist(), _row_bounds(grid, spec).tolist()):
+                value, sol, t = optimizer._evaluate(r, spec, coarse=True)
+                assert value <= bound, (spec.C, r)
+                model = DegreeModel(R=r, T=t, d_t=spec.d_t, epsilon=spec.epsilon)
+                if spec.epsilon > matching_upper_bound(model) * (1.0 + 1e-6):
+                    assert (
+                        sol.on_junk_cut or sol.no_transition or sol.eps_star < spec.epsilon
+                    ), (spec.C, r)
+
+    def test_tie_keeps_smallest_R_solved_first(self, monkeypatch):
+        """Two rows tie.  The smaller R has the larger bound, so it is solved
+        first, and the later tie at a larger R does not displace it."""
+        spec = BudgetSpec(C=6e6, d_t=6.0)
+        grid = coarse_grid(spec)
+        bounds = _row_bounds(grid, spec)
+        i0, i1 = 5, grid.size - 1
+        top = 0.9 * bounds[i1]
+        assert top < bounds[i1] < bounds[i0] == grid[i0]
+
+        def fake(R, spec, coarse, T=None):
+            value = top if R in (grid[i0], grid[i1]) else 0.5 * top
+            return value, None, int(spec.C_prime // R)
+
+        monkeypatch.setattr(optimizer, "_evaluate", fake)
+        values = [fake(int(r), spec, True)[0] for r in grid]
+        assert _coarse_argmax(grid, spec) == int(np.argmax(values)) == i0
+
+    def test_frontier_solves_at_most_120_coarse_rows(self, monkeypatch):
+        calls = []
+        evaluate = optimizer._evaluate
+
+        def counted(R, spec, coarse, T=None):
+            calls.append(coarse)
+            return evaluate(R, spec, coarse, T)
+
+        monkeypatch.setattr(optimizer, "_evaluate", counted)
+        for spec in FRONTIER_SPECS:
+            calls.clear()
+            optimize_budget(spec)
+            assert 0 < sum(calls) <= 120, spec
 
 
 class TestScalingExponents:
