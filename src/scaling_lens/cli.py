@@ -374,6 +374,10 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not 0.0 <= params["eps_lo"] < params["eps_hi"] <= 1.0:
+        raise ConfigError(
+            f"need 0 <= eps_lo < eps_hi <= 1, got [{params['eps_lo']}, {params['eps_hi']}]"
+        )
     try:
         sol = find_threshold(model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"])
         ub = matching_upper_bound(model)

@@ -31,8 +31,10 @@ import numpy as np
 __all__ = [
     "DegreeModel",
     "PolynomialPair",
+    "binomial_gen",
     "eval_gen",
     "l_prime_at_one",
+    "log_gen",
 ]
 
 # exp() underflows to subnormal/zero around -745; below this the value is 0
@@ -111,14 +113,7 @@ class DegreeModel:
             d = n * self.p
             out = d**order * np.exp(-d * (1.0 - x))
         else:
-            coeff = 1.0
-            for k in range(order):
-                coeff *= (n - k) * self.p
-            if coeff == 0.0:
-                out = np.zeros_like(x)
-            else:
-                e = (n - order) * np.log1p(self.p * (x - 1.0))
-                out = np.where(e < _LOG_UNDERFLOW, 0.0, coeff * np.exp(np.maximum(e, _LOG_UNDERFLOW)))
+            out = binomial_gen(n, self.p, x, order)
         return float(out) if out.ndim == 0 else out
 
     # Shorthands used throughout the threshold solver.
@@ -218,6 +213,26 @@ class PolynomialPair:
 
     _scalar_lam = lam
     _scalar_rho = rho
+
+
+def log_gen(n, p, x):
+    """log of (p*x + 1 - p)**n, broadcasting over n, p and x."""
+    return n * np.log1p(p * (x - 1.0))
+
+
+def binomial_gen(n, p, x, order: int = 0):
+    """order-th derivative of (p*x + 1 - p)**n in log space, broadcasting over n, p and x.
+
+    Zero where the value underflows or the derivative's coefficient vanishes.
+    """
+    coeff = 1.0
+    for k in range(order):
+        coeff = coeff * ((n - k) * p)
+    e = log_gen(n - order, p, x)
+    zero = e < _LOG_UNDERFLOW
+    if order:
+        zero = zero | (coeff == 0.0)
+    return np.where(zero, 0.0, coeff * np.exp(np.maximum(e, _LOG_UNDERFLOW)))
 
 
 def eval_gen(model: DegreeModel, which: str, x, order: int = 0):

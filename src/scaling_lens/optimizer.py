@@ -20,14 +20,23 @@ magnitude.
 
 The optimizer's scan rules most rows out without a threshold solve, by
 a closed-form bound on each row's objective.  The objective is clamped
-to [0, R], so R bounds it everywhere.  Where eps exceeds the
-edge-matching upper bound on the threshold, eps also exceeds eps*, so
-the effective rate takes the DE branch; as L is increasing the DE rate
-is at least eps*L(0), the mass of concepts no text covers, and the
-objective is at most R*(1 - L(0)) = R*(1 - (1-p)**T).  Rows are solved
-in descending bound order until the bound falls below the best value
-found, which returns the full scan's argmax.  isoflop_curve returns
-every point and so evaluates the whole grid.
+to [0, R], so R bounds it everywhere.  On the DE branch the rate is at
+least the DE rate, and the DE orbit from x = 1 stalls above every x
+with f(x) >= x (Richardson & Urbanke, Modern Coding Theory, 2008): with
+x_s the largest such x in a 64-point sample of the solver's x grid, the
+objective is at most R*(1 - L(1 - rho(1 - x_s))), and at x_s = 0 it is
+R*(1 - L(0)), the mass of concepts no text covers.  A row is known to
+be on the DE branch without a solve in two cases: eps exceeds the
+edge-matching upper bound on eps*, or a sampled x above every junk cut
+has x/g(x) below eps by more than the solver's tie window, so that
+every m(e) of find_threshold lies below eps and eps* < eps.  The one
+case the argument leaves to measurement is a find_threshold call that
+stops at MAX_CUT_PASSES; none did in sweeps of over 100k rows.  Rows
+are solved in descending bound order until the bound falls below the
+best value found, which returns the full scan's argmax; near the
+optimum the stall bound is tight, so one or two rows are solved per
+frontier budget.  isoflop_curve returns every point and so evaluates
+the whole grid.
 """
 
 from __future__ import annotations
@@ -38,9 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeModel
+from .degree import DegreeModel, binomial_gen, log_gen
 from .threshold import (
+    TIE_WINDOW,
+    X_GRID_LO,
+    X_GRID_POINTS,
     ThresholdSolution,
+    _base_grid,
     binomial_matching_bound,
     bit_erasure_rate,
     de_bit_erasure,
@@ -64,6 +77,12 @@ __all__ = [
 ]
 
 COARSE_POINTS_PER_DECADE = 64
+
+# x grid of the coarse threshold solves
+COARSE_GRID_POINTS = 512
+
+# _row_bounds samples x/g(x) at this many points of the solver's x grid
+STALL_SAMPLE_POINTS = 64
 
 # budgets with at most this many feasible R scan every integer R, with full solves
 EXHAUSTIVE_LIMIT = 4096
@@ -135,7 +154,7 @@ class ScalingFit:
 
 def _solve_threshold(model: DegreeModel, coarse: bool) -> ThresholdSolution:
     if coarse:
-        return find_threshold(model, grid_points=512, refine_passes=1)
+        return find_threshold(model, grid_points=COARSE_GRID_POINTS, refine_passes=1)
     return find_threshold(model)
 
 
@@ -267,27 +286,57 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     return count
 
 
-def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
+def _stall_sample(coarse: bool) -> np.ndarray:
+    """The x at which _row_bounds samples x/g(x): every k-th point of the x
+    grid that the coarse or the full threshold solve minimizes over."""
+    points = COARSE_GRID_POINTS if coarse else X_GRID_POINTS
+    return _base_grid(points)[:: points // STALL_SAMPLE_POINTS]
+
+
+def _row_bounds(grid: np.ndarray, spec: BudgetSpec, coarse: bool = True) -> np.ndarray:
     """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
-    R*(1 - L(0)) = R*(1 - (1-p)**T) where eps exceeds the matching upper
-    bound on eps* (the rate then takes the DE branch, which is at least
-    eps*L(0)), R elsewhere.  The relative slacks 1e-6 on the matching
-    bound and 1e-9 on the product absorb roundoff.
+    On the DE branch of effective_bit_erasure the rate is at least the DE
+    rate eps*L(1 - rho(1 - x_inf)), x_inf the end of the DE orbit from
+    x = 1.  That orbit never falls below an x with f(x) >= x, i.e. with
+    x/g(x) <= eps, so with x_s the largest such x of a 64-point sample
+    (0 if none) the objective is at most R*(1 - L(1 - rho(1 - x_s))); at
+    x_s = 0 that is R*(1 - L(0)), the mass of concepts no text covers.  A
+    row is on the DE branch if eps exceeds the matching upper bound on
+    eps*, or if a sampled x above the eps = 1 junk cap has x/g(x) below
+    eps by more than the solver's tie window: the sample is part of the
+    solver's own x grid (coarse or full), above every cut, so every m(e)
+    of find_threshold is below eps and eps* < eps.  Other rows keep the
+    bound R, as the objective is clamped to [0, R].  The relative slacks
+    1e-6 on eps and on the matching bound and 1e-9 on the cap and on the
+    product absorb roundoff.  The argument fails only for a solve that
+    stops at MAX_CUT_PASSES, which never happened in the bound sweeps.
     """
     c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
-    bounds = []
-    for r in grid.tolist():
-        t = int(c // r)
-        if eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6):
-            bounds.append(-r * math.expm1(t * math.log1p(-d_t / r)) * (1.0 + 1e-9))
-        else:
-            bounds.append(float(r))
-    return np.array(bounds)
+    xs = _stall_sample(coarse)
+    texts = [int(c // r) for r in grid.tolist()]
+    past_ub = np.array([
+        eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6)
+        for r, t in zip(grid.tolist(), texts)
+    ], dtype=bool)
+    r = grid.astype(np.float64)
+    t = np.array(texts, dtype=np.float64)
+    p, n_rho = d_t / r, r / eps - 1.0
+    n_lam, col_p = (t - 1.0)[:, None], p[:, None]
+    g = binomial_gen(n_lam, col_p, 1.0 - binomial_gen(n_rho[:, None], col_p, 1.0 - xs))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = xs / g
+    level = eps * (1.0 - 1e-6)
+    cap = (4.0 * binomial_gen(n_lam, col_p, 0.0) + X_GRID_LO) * (1.0 + 1e-9)
+    below = (ratio <= level - 2.0 * TIE_WINDOW) & (xs > cap)
+    x_s = np.where(ratio <= level, xs, 0.0).max(axis=1)
+    y = 1.0 - binomial_gen(n_rho, p, 1.0 - x_s)
+    learned = -r * np.expm1(log_gen(t, p, y)) * (1.0 + 1e-9)
+    return np.where(past_ub | below.any(axis=1), learned, r)
 
 
 def _coarse_argmax(
-    grid: np.ndarray, spec: BudgetSpec, objective: Callable[[int], float] | None = None
+    grid: np.ndarray, spec: BudgetSpec, full: Callable[[int], float] | None = None
 ) -> int:
     """Index of the best objective on an ascending R grid, np.argmax's index.
 
@@ -295,14 +344,12 @@ def _coarse_argmax(
     index) and the scan stops at the first bound below the best value so
     far: no row from there on can exceed it.  Updating on a larger value,
     or an equal one at a smaller index, keeps the smallest R among ties.
-    objective defaults to the coarse solve; optimize_budget passes full
-    solves for its integer scan of small budgets.
+    The objective is the coarse solve unless full, the full-solve
+    objective of optimize_budget's integer scan of small budgets, is
+    given; the bounds then sample the full solve's x grid.
     """
-    if objective is None:
-        def objective(r: int) -> float:
-            return _evaluate(r, spec, coarse=True)[0]
-
-    bound = _row_bounds(grid, spec)
+    objective = full or (lambda r: _evaluate(r, spec, coarse=True)[0])
+    bound = _row_bounds(grid, spec, coarse=full is None)
     j, best = -1, -math.inf
     for k in np.argsort(-bound, kind="stable").tolist():
         if bound[k] < best:
@@ -319,11 +366,13 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     Coarse geometric scan at 64 points per decade, then golden-section
     refinement on log R around the best coarse point; evaluation always
     happens at integer (R, T).  The coarse scan solves rows in descending
-    order of a closed-form bound on their objective and stops once the
-    bound falls below the best value so far.  The bound is R, as the
-    objective is clamped to [0, R]; where eps exceeds the edge-matching
-    upper bound on eps*, eps > eps* puts the rate on the DE branch, which
-    is at least eps*L(0), so the bound is R*(1 - L(0)).  It picks the same
+    order of _row_bounds and stops once the bound falls below the best
+    value so far.  The bound is R, as the objective is clamped to [0, R],
+    except on rows known to be on the DE branch (eps past the matching
+    upper bound on eps*, or a sampled x/g(x) below eps by more than the
+    tie window): there it is R*(1 - L(1 - rho(1 - x_s))), x_s the largest
+    sampled x where the DE orbit from x = 1 must stall.  It holds unless a
+    threshold solve stops at MAX_CUT_PASSES.  The scan picks the same
     point as a full scan, the smallest R among ties.  Small budgets run
     the same bounded scan over every integer R, with full solves.
     """

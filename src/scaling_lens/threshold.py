@@ -68,6 +68,8 @@ X_GRID_LO = 1e-9
 X_GRID_POINTS = 2048
 _ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
 MAX_CUT_PASSES = 64
+# separate wells of x/g(x) whose minima lie this close count as tied
+TIE_WINDOW = 1e-9
 
 
 class DegenerateThreshold(Exception):
@@ -192,7 +194,7 @@ def _min_above(model, cut: float, grid, ratio, refine_passes: int):
     xs = np.concatenate(([cut], grid[start:]))
     rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
     i = int(np.argmin(rs))
-    near = np.flatnonzero(rs <= rs[i] + 1e-9)
+    near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
     gaps = np.flatnonzero(np.diff(near) > 1)
     if gaps.size:
         k = int(near[gaps[-1] + 1])
@@ -302,9 +304,19 @@ def _solution_constants(model, eps_star: float, x_star: float):
 
 
 def matching_upper_bound(model) -> float:
-    """Threshold upper bound from edge matching: integral of rho over integral of lam."""
+    """Threshold upper bound from edge matching: integral of rho over integral of lam.
+
+    In poisson_limit mode each function is exp(-d*(1 - x)) with d = n*p,
+    whose integral over [0, 1] is (1 - exp(-d))/d.
+    """
     if isinstance(model, PolynomialPair):
         return model.rho_integral() / model.lam_integral()
+    if model.eval_mode == "poisson_limit":
+        def integral(which):
+            d = model._exponent(which) * model.p
+            return -math.expm1(-d) / d if d > 0.0 else 1.0
+
+        return integral("rho") / integral("lam")
     return binomial_matching_bound(model.R, model.T, model.d_t, model.epsilon)
 
 

@@ -161,6 +161,18 @@ class TestThresholdCommand:
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert any("NoTransition" in w for w in meta["warnings"])
 
+    @pytest.mark.parametrize(
+        "bracket", ["eps_lo = 0.6\neps_hi = 0.5\n", "eps_hi = 1.5\n"], ids=["reversed", "above_one"]
+    )
+    def test_bad_eps_bracket_is_config_error(self, bracket, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, THRESHOLD_OK + bracket + "out = t.csv\n")
+        assert run_cli(["threshold", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "eps_lo < eps_hi" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
+
     def test_json_format_matches_csv_values(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, THRESHOLD_OK + "out = t.csv\n")
