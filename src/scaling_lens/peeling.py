@@ -19,6 +19,12 @@ O(edges) time.  Every trial owns a counter-based RNG keyed by
 (seed, trial), so results are reproducible and independent of the
 thread count; trial 0 of a Monte-Carlo run sees the same graph as
 ``sample_graph(R, T, p, seed)``.
+
+A Monte-Carlo trial builds no graph object: it splits its sampled cells
+into (text, concept) edge arrays and peels straight from them.  The
+counters and the reverse CSR take only the edges of unknown concepts:
+a known concept is never learned, because the per-text id sums cover
+only unknown neighbours, so its reverse-CSR row would never be read.
 """
 
 from __future__ import annotations
@@ -131,14 +137,20 @@ class BipartiteGraph:
         return np.repeat(np.arange(self.n_texts, dtype=np.int64), np.diff(self.indptr))
 
     def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concept -> incident texts adjacency (texts ascending), built on demand.
+        """Concept -> incident texts adjacency (texts ascending), built on demand."""
+        return _reverse_csr(self.n_concepts, self.n_texts, self.text_ids(), self.indices)
 
-        Sorts the keys concept*T + text; they fit in int64 because the T*R grid does.
-        """
-        T = self.n_texts
-        key = np.sort(self.indices.astype(np.int64, copy=False) * T + self.text_ids())
-        rev_indptr = np.searchsorted(key, np.arange(self.n_concepts + 1, dtype=np.int64) * T)
-        return rev_indptr, key % T
+
+def _reverse_csr(
+    n_concepts: int, n_texts: int, text: np.ndarray, concept: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concept -> incident texts adjacency (texts ascending) of the edges (text, concept).
+
+    Sorts the keys concept*T + text; they fit in int64 because the T*R grid does.
+    """
+    key = np.sort(concept.astype(np.int64, copy=False) * n_texts + text)
+    rev_indptr = np.searchsorted(key, np.arange(n_concepts + 1, dtype=np.int64) * n_texts)
+    return rev_indptr, key - key // n_texts * n_texts
 
 
 @dataclass(frozen=True)
@@ -187,31 +199,39 @@ def _sample_positions(rng: np.random.Generator, n_cells: int, p: float) -> np.nd
     pieces = []
     last = -1
     while last < n_cells:
-        gaps = rng.geometric(p, size=chunk).astype(np.int64, copy=False)
-        pos = last + np.cumsum(gaps)
+        pos = rng.geometric(p, size=chunk).astype(np.int64, copy=False)
+        np.cumsum(pos, out=pos)
+        pos += last
         pieces.append(pos)
         last = int(pos[-1])
         chunk = max(1024, chunk // 8)
     out = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-    return out[out < n_cells]
+    return out[:np.searchsorted(out, n_cells)]
+
+
+def _split_positions(positions: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """(text, concept) of each occupied cell of the text-major T*R grid."""
+    text = positions // R
+    # no temporary: a third edge-sized array per trial lifts the worker
+    # threads' malloc high-water mark, and so the peak RSS
+    concept = text * R
+    np.subtract(positions, concept, out=concept)
+    return text, concept
 
 
 def _sample_with_rng(
     rng: np.random.Generator, R: int, T: int, p: float, seed: int
 ) -> BipartiteGraph:
-    positions = _sample_positions(rng, T * R, p)
-    indices = positions % R
-    text_of_edge = positions // R
-    counts = np.bincount(text_of_edge, minlength=T)
+    text, concept = _split_positions(_sample_positions(rng, T * R, p), R)
     indptr = np.zeros(T + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(text, minlength=T), out=indptr[1:])
     return BipartiteGraph(
         n_concepts=R,
         n_texts=T,
         p=float(p),
         seed=seed,
         indptr=indptr,
-        indices=np.ascontiguousarray(indices, dtype=np.int64),
+        indices=concept,
     )
 
 
@@ -235,50 +255,66 @@ def sample_graph(R: int, T: int, p: float, seed: int) -> BipartiteGraph:
     return _sample_with_rng(_trial_rng(seed, 0), R, T, p, seed)
 
 
-def _peel_masked(graph: BipartiteGraph, unknown: np.ndarray) -> tuple[np.ndarray, int]:
-    """Run the kernel with the given unknown-concept mask (uint8)."""
-    rev_indptr, rev_indices = graph.reverse_csr()
-    text_ids = graph.text_ids()
-    edge_unknown = unknown[graph.indices]
-    cnt = np.bincount(
-        text_ids, weights=edge_unknown, minlength=graph.n_texts
-    ).astype(np.int64)
+def _peel_edges(
+    n_concepts: int,
+    n_texts: int,
+    text: np.ndarray,
+    concept: np.ndarray,
+    unknown: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Peel the graph with edges (text[i], concept[i]) from the bool mask ``unknown``.
+
+    Returns the learned mask (uint8) and the number of concepts learned.
+    Only the edges of unknown concepts are kept: a known concept is never
+    learned, because ``ssum`` sums only unknown neighbours, so its
+    reverse-CSR row would never be read.
+    """
+    keep = np.flatnonzero(unknown.take(concept))
+    text = text.take(keep)
+    concept = concept.take(keep)
+    cnt = np.bincount(text, minlength=n_texts)
     # float64 holds id sums exactly here (everything stays far below 2^53)
-    ssum = np.bincount(
-        text_ids, weights=edge_unknown * graph.indices, minlength=graph.n_texts
-    ).astype(np.int64)
-    learned = np.zeros(graph.n_concepts, dtype=np.uint8)
-    stack = np.empty(graph.n_texts + 1, dtype=np.int64)
+    ssum = np.bincount(text, weights=concept, minlength=n_texts).astype(np.int64)
+    rev_indptr, rev_indices = _reverse_csr(n_concepts, n_texts, text, concept)
+    learned = np.zeros(n_concepts, dtype=np.uint8)
+    stack = np.empty(n_texts + 1, dtype=np.int64)
     n_peeled = _kernel()(rev_indptr, rev_indices, cnt, ssum, learned, stack)
     return learned, int(n_peeled)
+
+
+def _concept_mask(graph: BipartiteGraph, mask) -> np.ndarray:
+    """Bool mask over concepts, true at every nonzero entry."""
+    mask = np.asarray(mask) != 0
+    if mask.shape != (graph.n_concepts,):
+        raise ValueError("concept mask must have one entry per concept")
+    return mask
 
 
 def peel(graph: BipartiteGraph, unknown: np.ndarray | None = None) -> PeelingOutcome:
     """Peel to completion; by default every concept starts unknown.
 
-    ``unknown`` may restrict the initially unknown set (uint8/bool mask
-    over concepts).  The returned iteration count equals the number of
-    concepts learned; the residual unknowns form a stopping set.
+    ``unknown`` may restrict the initially unknown set (a mask over
+    concepts; every nonzero entry is unknown).  The returned iteration
+    count equals the number of concepts learned; the residual unknowns
+    form a stopping set.
     """
     if unknown is None:
-        unknown_mask = np.ones(graph.n_concepts, dtype=np.uint8)
+        unknown_mask = np.ones(graph.n_concepts, dtype=bool)
     else:
-        unknown_mask = np.asarray(unknown).astype(np.uint8)
-        if unknown_mask.shape != (graph.n_concepts,):
-            raise ValueError("unknown mask must have one entry per concept")
-    learned, n_peeled = _peel_masked(graph, unknown_mask)
-    n_unknown = int(unknown_mask.sum())
+        unknown_mask = _concept_mask(graph, unknown)
+    learned, n_peeled = _peel_edges(
+        graph.n_concepts, graph.n_texts, graph.text_ids(), graph.indices, unknown_mask
+    )
     return PeelingOutcome(
         learned_mask=learned,
         iterations=n_peeled,
-        unlearned_count=n_unknown - n_peeled,
+        unlearned_count=int(np.count_nonzero(unknown_mask)) - n_peeled,
     )
 
 
 def is_stopping_set(graph: BipartiteGraph, concept_mask: np.ndarray) -> bool:
     """True when no text has exactly one neighbor inside the mask."""
-    mask = np.asarray(concept_mask).astype(bool)
-    edge_in = mask[graph.indices]
+    edge_in = _concept_mask(graph, concept_mask)[graph.indices]
     per_text = np.bincount(graph.text_ids()[edge_in], minlength=graph.n_texts)
     return not np.any(per_text == 1)
 
@@ -329,11 +365,8 @@ def mc_expected_learned(
     _check_budget(R, T, p)
 
     def one_trial(i: int) -> float:
-        rng = _trial_rng(seed, i)
-        graph = _sample_with_rng(rng, R, T, p, seed)
-        _, n_peeled = _peel_masked(
-            graph, np.ones(R, dtype=np.uint8)
-        )
+        text, concept = _split_positions(_sample_positions(_trial_rng(seed, i), T * R, p), R)
+        _, n_peeled = _peel_edges(R, T, text, concept, np.ones(R, dtype=bool))
         return float(n_peeled)
 
     return _stats(_run_trials(one_trial, trials, threads))
@@ -361,11 +394,11 @@ def mc_parent_graph_erasure(
 
     def one_trial(i: int) -> float:
         rng = _trial_rng(seed, i)
-        graph = _sample_with_rng(rng, n_parent, model.T, p, seed)
-        unknown = np.zeros(n_parent, dtype=np.uint8)
-        erased_ids = rng.permutation(n_parent)[:n_erased]
-        unknown[erased_ids] = 1
-        _, n_peeled = _peel_masked(graph, unknown)
+        # the reference digests fix the draw order: gaps, then the permutation
+        text, concept = _split_positions(_sample_positions(rng, model.T * n_parent, p), n_parent)
+        unknown = np.zeros(n_parent, dtype=bool)
+        unknown[rng.permutation(n_parent)[:n_erased]] = True
+        _, n_peeled = _peel_edges(n_parent, model.T, text, concept, unknown)
         return float(n_erased - n_peeled) / n_parent
 
     return _stats(_run_trials(one_trial, trials, threads))

@@ -1,6 +1,7 @@
 """Tests for graph sampling, the peeling kernel, and the Monte-Carlo harness."""
 
 import logging
+import math
 import os
 import types
 
@@ -23,6 +24,7 @@ from scaling_lens.peeling import (
     resolve_threads,
     sample_graph,
 )
+from scaling_lens.peeling import _reverse_csr, _sample_with_rng, _trial_rng
 from scaling_lens.threshold import bit_erasure_rate, find_threshold
 
 
@@ -183,6 +185,14 @@ class TestPeel:
         with pytest.raises(ValueError):
             peel(g, unknown=np.array([1, 0, 1], dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_every_nonzero_mask_entry_is_unknown(self, value):
+        # text 0 holds concept 0 alone, so the unknown concept 0 is learned
+        g = graph_from_rows(2, [[0]])
+        out = peel(g, [value, 0])
+        assert out.learned == frozenset({0})
+        assert out.unlearned_count == 0
+
     def test_matches_exhaustive_fixpoint_on_random_graphs(self):
         """100 random 12x18 graphs: kernel output equals the rescan oracle."""
         rng = np.random.default_rng(2024)
@@ -242,6 +252,7 @@ class TestNumpyKernel:
             n, learned, cnt, ssum = run_numpy_kernel(g, unknown)
             expected = set(np.flatnonzero(unknown).tolist()) - exhaustive_fixpoint(g, unknown)
             assert set(np.flatnonzero(learned).tolist()) == expected
+            assert peel(g, unknown).learned == expected
             assert n == int(learned.sum())
             assert_final_counters(g, unknown, learned, cnt, ssum)
 
@@ -295,12 +306,18 @@ class TestNumpyKernel:
             graphs.append(sample_graph(R=R, T=T, p=p, seed=int(rng.integers(2**32))))
         for g in graphs:
             text_ids = np.repeat(np.arange(g.n_texts, dtype=np.int64), np.diff(g.indptr))
-            counts = np.bincount(g.indices, minlength=g.n_concepts)
-            rev_indptr, rev_indices = g.reverse_csr()
-            assert rev_indptr.dtype == rev_indices.dtype == np.int64
-            assert rev_indices.flags.c_contiguous
-            assert np.array_equal(rev_indptr, np.concatenate([[0], np.cumsum(counts)]))
-            assert np.array_equal(rev_indices, text_ids[np.argsort(g.indices, kind="stable")])
+            # the whole graph, then the edges of a random subset of its concepts
+            some = (rng.random(g.n_concepts) < 0.5)[g.indices]
+            sub_text, sub_concept = text_ids[some], g.indices[some]
+            for text, concept, (rev_indptr, rev_indices) in [
+                (text_ids, g.indices, g.reverse_csr()),
+                (sub_text, sub_concept, _reverse_csr(g.n_concepts, g.n_texts, sub_text, sub_concept)),
+            ]:
+                counts = np.bincount(concept, minlength=g.n_concepts)
+                assert rev_indptr.dtype == rev_indices.dtype == np.int64
+                assert rev_indices.flags.c_contiguous
+                assert np.array_equal(rev_indptr, np.concatenate([[0], np.cumsum(counts)]))
+                assert np.array_equal(rev_indices, text[np.argsort(concept, kind="stable")])
 
 
 class TestIsStoppingSet:
@@ -315,6 +332,12 @@ class TestIsStoppingSet:
     def test_pairwise_covered_is_stopping(self):
         g = graph_from_rows(3, [[0, 1], [2]])
         assert is_stopping_set(g, np.array([1, 1, 0], dtype=bool))
+
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_mask_length_checked(self, length):
+        g = graph_from_rows(2, [[0]])
+        with pytest.raises(ValueError, match="one entry per concept"):
+            is_stopping_set(g, np.ones(length, dtype=bool))
 
 
 class TestMcExpectedLearned:
@@ -391,6 +414,33 @@ class TestMcParentGraphErasure:
         a = mc_parent_graph_erasure(model, trials=50, seed=13)
         b = mc_parent_graph_erasure(model, trials=50, seed=13)
         assert np.array_equal(a.values, b.values)
+
+
+class TestTrialPath:
+    def test_trial_values_equal_peel_on_the_same_draws(self):
+        """Each trial's value equals peel() on the graph and mask its rng draws."""
+        rng = np.random.default_rng(808)
+        trials = 4
+        for _ in range(25):
+            R = int(rng.integers(1, 40))
+            T = int(rng.integers(0, 60))
+            d_t = float(rng.uniform(0.2, min(6.0, R)))
+            eps = float(rng.uniform(0.05, 1.0))
+            seed = int(rng.integers(2**32))
+            p = d_t / R
+            learned = mc_expected_learned(R, T, d_t, trials, seed, threads=1)
+            model = types.SimpleNamespace(R=R, T=T, epsilon=eps, p=p)
+            erasure = mc_parent_graph_erasure(model, trials, seed, threads=1)
+            n_parent = math.ceil(R / eps)
+            n_erased = math.floor(eps * n_parent)
+            for i in range(trials):
+                g = _sample_with_rng(_trial_rng(seed, i), R, T, p, seed)
+                assert learned.values[i] == peel(g).iterations
+                trial_rng = _trial_rng(seed, i)
+                g = _sample_with_rng(trial_rng, n_parent, T, p, seed)
+                unknown = np.zeros(n_parent, dtype=bool)
+                unknown[trial_rng.permutation(n_parent)[:n_erased]] = True
+                assert erasure.values[i] == peel(g, unknown).unlearned_count / n_parent
 
 
 class TestDeterminism:
