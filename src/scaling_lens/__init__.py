@@ -4,7 +4,7 @@ Submodules
 ----------
 degree     generating functions of the text/concept degree ensemble
 threshold  density-evolution thresholds and finite-size scaling constants
-peeling    exact peeling decoder and Monte Carlo harness (compiled or pure)
+peeling    exact peeling decoder and Monte Carlo harness
 optimizer  compute-optimal (model size, data size) allocation
 loss       training-error and excess-entropy lower bounds
 emergence  hierarchical skill graphs, emergence steps, plateau detection
@@ -32,7 +32,6 @@ from .peeling import (
     BudgetExceeded,
     MCStats,
     PeelingOutcome,
-    active_backend,
     dump_graph,
     is_stopping_set,
     mc_expected_learned,

@@ -1,15 +1,15 @@
-"""Round-parallel numpy peeling kernel, used when the compiled extension is absent.
+"""Round-parallel numpy peeling kernel.
 
-Same contract as ``scaling_lens._peel.peel_kernel``: operates on the
-reverse (concept -> texts) CSR adjacency plus per-text counters of
-unknown neighbors and sums of their ids.  When a text's counter is 1 the
-sum IS the id of its unique unknown neighbor.  Each round learns the
-concepts of all such texts at once (the parallel schedule of Luby et
-al., IEEE Trans. IT 2001) and updates the counters over their edges by
-``bincount``.  Several ready texts may name one concept; a round keeps
-one copy of each through a concept-indexed slot array, in O(ready)
-time, so total work is O(edges) plus a per-round cost.  Peeling is
-confluent, so both kernels leave identical outputs.
+Operates on the reverse (concept -> texts) CSR adjacency plus per-text
+counters of unknown neighbors and sums of their ids.  When a text's
+counter is 1 the sum IS the id of its unique unknown neighbor.  Each
+round learns the concepts of all such texts at once (the parallel
+schedule of Luby et al., IEEE Trans. IT 2001) and updates the counters
+over their edges by ``bincount``.  Several ready texts may name one
+concept; a round keeps one copy of each through a concept-indexed slot
+array, in O(ready) time, so total work is O(edges) plus a per-round
+cost.  Peeling is confluent, so the result equals that of any
+one-text-at-a-time order.
 
 The caller may leave the rows of known concepts empty: a known concept
 is never learned, so its row is never read.
@@ -18,11 +18,8 @@ is never learned, so its row is never read.
 import numpy as np
 
 
-def peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned, stack):
-    """Peel to completion in place; returns the number of concepts learned.
-
-    ``stack`` (the compiled kernel's scratch) is left untouched.
-    """
+def peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned):
+    """Peel to completion in place; returns the number of concepts learned."""
     n_texts = cnt.shape[0]
     slot = np.empty(learned.shape[0], dtype=np.intp)
     ready = np.flatnonzero(cnt == 1)

@@ -8,10 +8,9 @@ order in which eligible texts are processed, so any two correct
 implementations agree exactly, and the residual unknown concepts always
 form a stopping set (no text sees exactly one of them).
 
-Two kernels implement the inner loop under one contract: a Cython
-extension that peels one text at a time, and a round-parallel numpy
-fallback.  Selection is automatic with an env-var override, see
-:func:`active_backend`.
+The inner loop is ``_peel_py.peel_kernel``, which peels in parallel
+rounds: each round learns the concept of every text with exactly one
+unknown neighbour.
 
 Sampling draws edge positions on the flattened T*R grid by geometric
 gap skipping, which reproduces i.i.d. Bernoulli(p) cells exactly in
@@ -38,20 +37,13 @@ import numpy as np
 
 from . import _peel_py
 
-try:
-    from . import _peel as _peel_ext
-except ImportError:
-    _peel_ext = None
-
 __all__ = [
-    "BACKEND_ENV",
     "THREADS_ENV",
     "MAX_EXPECTED_EDGES",
     "BipartiteGraph",
     "BudgetExceeded",
     "MCStats",
     "PeelingOutcome",
-    "active_backend",
     "dump_graph",
     "is_stopping_set",
     "mc_expected_learned",
@@ -63,38 +55,11 @@ __all__ = [
 
 MAX_EXPECTED_EDGES = 1e8
 
-BACKEND_ENV = "SCALING_LENS_PEEL_BACKEND"
 THREADS_ENV = "SCALING_LENS_THREADS"
 
 
 class BudgetExceeded(RuntimeError):
     """Expected edge count is past MAX_EXPECTED_EDGES."""
-
-
-def active_backend() -> str:
-    """Resolve the peeling kernel choice: 'ext' or 'python'.
-
-    Honors SCALING_LENS_PEEL_BACKEND = auto | python | ext at call time.
-    """
-    mode = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if mode not in ("auto", "python", "ext"):
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of auto, python, ext; got {mode!r}"
-        )
-    if mode == "python":
-        return "python"
-    if mode == "ext":
-        if _peel_ext is None:
-            raise RuntimeError(
-                "compiled peeling kernel requested via "
-                f"{BACKEND_ENV}=ext but the extension is not built"
-            )
-        return "ext"
-    return "ext" if _peel_ext is not None else "python"
-
-
-def _kernel():
-    return _peel_ext.peel_kernel if active_backend() == "ext" else _peel_py.peel_kernel
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -260,25 +225,26 @@ def _peel_edges(
     n_texts: int,
     text: np.ndarray,
     concept: np.ndarray,
-    unknown: np.ndarray,
+    unknown: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
     """Peel the graph with edges (text[i], concept[i]) from the bool mask ``unknown``.
 
-    Returns the learned mask (uint8) and the number of concepts learned.
-    Only the edges of unknown concepts are kept: a known concept is never
-    learned, because ``ssum`` sums only unknown neighbours, so its
-    reverse-CSR row would never be read.
+    ``None`` means every concept starts unknown.  Returns the learned
+    mask (uint8) and the number of concepts learned.  Only the edges of
+    unknown concepts are kept: a known concept is never learned, because
+    ``ssum`` sums only unknown neighbours, so its reverse-CSR row would
+    never be read.
     """
-    keep = np.flatnonzero(unknown.take(concept))
-    text = text.take(keep)
-    concept = concept.take(keep)
+    if unknown is not None:
+        keep = np.flatnonzero(unknown.take(concept))
+        text = text.take(keep)
+        concept = concept.take(keep)
     cnt = np.bincount(text, minlength=n_texts)
     # float64 holds id sums exactly here (everything stays far below 2^53)
     ssum = np.bincount(text, weights=concept, minlength=n_texts).astype(np.int64)
     rev_indptr, rev_indices = _reverse_csr(n_concepts, n_texts, text, concept)
     learned = np.zeros(n_concepts, dtype=np.uint8)
-    stack = np.empty(n_texts + 1, dtype=np.int64)
-    n_peeled = _kernel()(rev_indptr, rev_indices, cnt, ssum, learned, stack)
+    n_peeled = _peel_py.peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned)
     return learned, int(n_peeled)
 
 
@@ -299,16 +265,17 @@ def peel(graph: BipartiteGraph, unknown: np.ndarray | None = None) -> PeelingOut
     form a stopping set.
     """
     if unknown is None:
-        unknown_mask = np.ones(graph.n_concepts, dtype=bool)
+        n_unknown = graph.n_concepts
     else:
-        unknown_mask = _concept_mask(graph, unknown)
+        unknown = _concept_mask(graph, unknown)
+        n_unknown = int(np.count_nonzero(unknown))
     learned, n_peeled = _peel_edges(
-        graph.n_concepts, graph.n_texts, graph.text_ids(), graph.indices, unknown_mask
+        graph.n_concepts, graph.n_texts, graph.text_ids(), graph.indices, unknown
     )
     return PeelingOutcome(
         learned_mask=learned,
         iterations=n_peeled,
-        unlearned_count=int(np.count_nonzero(unknown_mask)) - n_peeled,
+        unlearned_count=n_unknown - n_peeled,
     )
 
 
@@ -366,7 +333,7 @@ def mc_expected_learned(
 
     def one_trial(i: int) -> float:
         text, concept = _split_positions(_sample_positions(_trial_rng(seed, i), T * R, p), R)
-        _, n_peeled = _peel_edges(R, T, text, concept, np.ones(R, dtype=bool))
+        _, n_peeled = _peel_edges(R, T, text, concept, None)
         return float(n_peeled)
 
     return _stats(_run_trials(one_trial, trials, threads))

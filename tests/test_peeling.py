@@ -12,10 +12,8 @@ from scaling_lens import _peel_py
 from scaling_lens.degree import DegreeModel
 from scaling_lens.optimizer import effective_bit_erasure
 from scaling_lens.peeling import (
-    BACKEND_ENV,
     BipartiteGraph,
     BudgetExceeded,
-    active_backend,
     dump_graph,
     is_stopping_set,
     mc_expected_learned,
@@ -77,8 +75,7 @@ def run_numpy_kernel(graph, unknown):
     ssum = np.array([row[unknown[row]].sum() for row in rows], dtype=np.int64)
     learned = np.zeros(graph.n_concepts, dtype=np.uint8)
     rev_indptr, rev_indices = graph.reverse_csr()
-    stack = np.empty(graph.n_texts + 1, dtype=np.int64)
-    n = _peel_py.peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned, stack)
+    n = _peel_py.peel_kernel(rev_indptr, rev_indices, cnt, ssum, learned)
     return n, learned, cnt, ssum
 
 
@@ -255,6 +252,13 @@ class TestNumpyKernel:
             assert peel(g, unknown).learned == expected
             assert n == int(learned.sum())
             assert_final_counters(g, unknown, learned, cnt, ssum)
+            # no mask skips the edge filter; it must equal an all-ones mask
+            full, ones = peel(g), peel(g, np.ones(R))
+            assert np.array_equal(full.learned_mask, ones.learned_mask)
+            assert (full.iterations, full.unlearned_count) == (
+                ones.iterations,
+                ones.unlearned_count,
+            )
 
     def test_concept_resolved_twice_in_one_round_counts_once(self):
         # texts 0 and 1 both name concept 0 in the first round; text 2
@@ -469,33 +473,3 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             resolve_threads(-1)
 
-
-class TestBackends:
-    def test_extension_is_active_by_default(self):
-        assert active_backend() in ("ext", "python")
-
-    def test_python_fallback_matches_extension(self, monkeypatch):
-        if active_backend() != "ext":
-            pytest.skip("compiled kernel unavailable; nothing to compare")
-        rng = np.random.default_rng(44)
-        graphs = [
-            sample_graph(R=40, T=64, p=float(rng.uniform(0.03, 0.3)), seed=int(rng.integers(2**32)))
-            for _ in range(10)
-        ]
-        ext_out = [peel(g).learned_mask for g in graphs]
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert active_backend() == "python"
-        py_out = [peel(g).learned_mask for g in graphs]
-        for a, b in zip(ext_out, py_out):
-            assert np.array_equal(a, b)
-
-    def test_python_backend_mc_identical(self, monkeypatch):
-        base = mc_expected_learned(R=60, T=90, d_t=3.0, trials=30, seed=31)
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        alt = mc_expected_learned(R=60, T=90, d_t=3.0, trials=30, seed=31)
-        assert np.array_equal(base.values, alt.values)
-
-    def test_bogus_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cuda")
-        with pytest.raises(ValueError):
-            active_backend()
