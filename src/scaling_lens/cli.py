@@ -426,17 +426,17 @@ def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
                 trials=params["trials"], seed=params["seed"], threads=threads,
             )
         else:
-            try:
-                model = DegreeModel(
-                    R=params["R"], T=params["T"], d_t=params["d_t"],
-                    epsilon=params["epsilon"],
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            model = DegreeModel(
+                R=params["R"], T=params["T"], d_t=params["d_t"],
+                epsilon=params["epsilon"],
+            )
             stats = mc_parent_graph_erasure(
                 model, trials=params["trials"], seed=params["seed"],
                 threads=threads,
             )
+    # the model and the Monte-Carlo calls reject bad inputs with ValueError
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     except BudgetExceeded as exc:
         raise NumericFailure(
             str(exc), {k: params[k] for k in ("R", "T", "d_t")}
@@ -675,11 +675,15 @@ def run(command: str, params: dict) -> int:
         "warnings": notes,
         **extras,
     }
-    with open(out_path, "wb") as fh:
-        fh.write(data)
-    with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    try:
+        with open(out_path, "wb") as fh:
+            fh.write(data)
+        with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"scaling-lens {command}: cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

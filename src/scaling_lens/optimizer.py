@@ -50,10 +50,9 @@ import numpy as np
 from .degree import DegreeModel, binomial_gen, log_gen
 from .threshold import (
     TIE_WINDOW,
+    X_GRID,
     X_GRID_LO,
-    X_GRID_POINTS,
     ThresholdSolution,
-    _base_grid,
     binomial_matching_bound,
     bit_erasure_rate,
     de_bit_erasure,
@@ -78,13 +77,11 @@ __all__ = [
 
 COARSE_POINTS_PER_DECADE = 64
 
-# x grid of the coarse threshold solves
-COARSE_GRID_POINTS = 512
-
 # _row_bounds samples x/g(x) at this many points of the solver's x grid
 STALL_SAMPLE_POINTS = 64
+STALL_SAMPLE = X_GRID[:: X_GRID.size // STALL_SAMPLE_POINTS]
 
-# budgets with at most this many feasible R scan every integer R, with full solves
+# budgets with at most this many feasible R scan every integer R
 EXHAUSTIVE_LIMIT = 4096
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -152,12 +149,6 @@ class ScalingFit:
     r2: float
 
 
-def _solve_threshold(model: DegreeModel, coarse: bool) -> ThresholdSolution:
-    if coarse:
-        return find_threshold(model, grid_points=COARSE_GRID_POINTS, refine_passes=1)
-    return find_threshold(model)
-
-
 def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
     """Post-peeling erasure rate at the model's operating epsilon.
 
@@ -173,13 +164,13 @@ def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
 
 
 def _evaluate(
-    R: int, spec: BudgetSpec, coarse: bool, T: int | None = None
+    R: int, spec: BudgetSpec, T: int | None = None
 ) -> tuple[float, ThresholdSolution, int]:
     """Objective, threshold solution, and T at one grid point (T = floor(C'/R) unless given)."""
     if T is None:
         T = int(spec.C_prime // R)
     model = DegreeModel(R=R, T=T, d_t=spec.d_t, epsilon=spec.epsilon)
-    sol = _solve_threshold(model, coarse)
+    sol = find_threshold(model)
     p_b = effective_bit_erasure(model, sol)
     frac = min(1.0, p_b / spec.epsilon)
     value = min(float(R), max(0.0, R * (1.0 - frac)))
@@ -190,7 +181,7 @@ def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
     """Expected concepts learned for an explicit (R, T) pair."""
     if R < 1 or T < 1:
         raise ValueError("R and T must be at least 1")
-    return _evaluate(int(R), spec, coarse=False, T=int(T))[0]
+    return _evaluate(int(R), spec, T=int(T))[0]
 
 
 def _r_bounds(spec: BudgetSpec) -> tuple[int, int]:
@@ -229,7 +220,7 @@ def isoflop_curve(
     stars = np.empty(grid.size)
     texts = np.empty(grid.size, dtype=np.int64)
     for i, r in enumerate(grid):
-        values[i], sol, texts[i] = _evaluate(int(r), spec, coarse=True)
+        values[i], sol, texts[i] = _evaluate(int(r), spec)
         stars[i] = sol.eps_star
     return IsoflopCurve(spec=spec, R=grid, T=texts, objective=values, eps_star=stars)
 
@@ -286,34 +277,27 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     return count
 
 
-def _stall_sample(coarse: bool) -> np.ndarray:
-    """The x at which _row_bounds samples x/g(x): every k-th point of the x
-    grid that the coarse or the full threshold solve minimizes over."""
-    points = COARSE_GRID_POINTS if coarse else X_GRID_POINTS
-    return _base_grid(points)[:: points // STALL_SAMPLE_POINTS]
-
-
-def _row_bounds(grid: np.ndarray, spec: BudgetSpec, coarse: bool = True) -> np.ndarray:
+def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
     On the DE branch of effective_bit_erasure the rate is at least the DE
     rate eps*L(1 - rho(1 - x_inf)), x_inf the end of the DE orbit from
     x = 1.  That orbit never falls below an x with f(x) >= x, i.e. with
-    x/g(x) <= eps, so with x_s the largest such x of a 64-point sample
-    (0 if none) the objective is at most R*(1 - L(1 - rho(1 - x_s))); at
+    x/g(x) <= eps, so with x_s the largest such x of STALL_SAMPLE (0 if
+    none) the objective is at most R*(1 - L(1 - rho(1 - x_s))); at
     x_s = 0 that is R*(1 - L(0)), the mass of concepts no text covers.  A
     row is on the DE branch if eps exceeds the matching upper bound on
     eps*, or if a sampled x above the eps = 1 junk cap has x/g(x) below
     eps by more than the solver's tie window: the sample is part of the
-    solver's own x grid (coarse or full), above every cut, so every m(e)
-    of find_threshold is below eps and eps* < eps.  Other rows keep the
-    bound R, as the objective is clamped to [0, R].  The relative slacks
-    1e-6 on eps and on the matching bound and 1e-9 on the cap and on the
-    product absorb roundoff.  The argument fails only for a solve that
+    solver's own X_GRID, above every cut, so every m(e) of find_threshold
+    is below eps and eps* < eps.  Other rows keep the bound R, as the
+    objective is clamped to [0, R].  The relative slacks 1e-6 on eps and
+    on the matching bound and 1e-9 on the cap and on the product absorb
+    roundoff.  The argument fails only for a solve that
     stops at MAX_CUT_PASSES, which never happened in the bound sweeps.
     """
     c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
-    xs = _stall_sample(coarse)
+    xs = STALL_SAMPLE
     texts = [int(c // r) for r in grid.tolist()]
     past_ub = np.array([
         eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6)
@@ -335,8 +319,8 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec, coarse: bool = True) -> np.n
     return np.where(past_ub | below.any(axis=1), learned, r)
 
 
-def _coarse_argmax(
-    grid: np.ndarray, spec: BudgetSpec, full: Callable[[int], float] | None = None
+def _bounded_argmax(
+    grid: np.ndarray, spec: BudgetSpec, objective: Callable[[int], float]
 ) -> int:
     """Index of the best objective on an ascending R grid, np.argmax's index.
 
@@ -344,12 +328,10 @@ def _coarse_argmax(
     index) and the scan stops at the first bound below the best value so
     far: no row from there on can exceed it.  Updating on a larger value,
     or an equal one at a smaller index, keeps the smallest R among ties.
-    The objective is the coarse solve unless full, the full-solve
-    objective of optimize_budget's integer scan of small budgets, is
-    given; the bounds then sample the full solve's x grid.
+    objective maps R to its value (optimize_budget passes its memoized
+    objective, so the rows solved here are solved once).
     """
-    objective = full or (lambda r: _evaluate(r, spec, coarse=True)[0])
-    bound = _row_bounds(grid, spec, coarse=full is None)
+    bound = _row_bounds(grid, spec)
     j, best = -1, -math.inf
     for k in np.argsort(-bound, kind="stable").tolist():
         if bound[k] < best:
@@ -363,18 +345,20 @@ def _coarse_argmax(
 def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     """Maximize expected concepts learned subject to R*T <= C'.
 
-    Coarse geometric scan at 64 points per decade, then golden-section
-    refinement on log R around the best coarse point; evaluation always
-    happens at integer (R, T).  The coarse scan solves rows in descending
-    order of _row_bounds and stops once the bound falls below the best
-    value so far.  The bound is R, as the objective is clamped to [0, R],
-    except on rows known to be on the DE branch (eps past the matching
-    upper bound on eps*, or a sampled x/g(x) below eps by more than the
-    tie window): there it is R*(1 - L(1 - rho(1 - x_s))), x_s the largest
-    sampled x where the DE orbit from x = 1 must stall.  It holds unless a
-    threshold solve stops at MAX_CUT_PASSES.  The scan picks the same
-    point as a full scan, the smallest R among ties.  Small budgets run
-    the same bounded scan over every integer R, with full solves.
+    Bounded scan of a geometric R grid at 64 points per decade, then
+    golden-section refinement on log R around the best grid point;
+    evaluation always happens at integer (R, T).  The scan solves rows in
+    descending order of _row_bounds and stops once the bound falls below
+    the best value so far.  The bound is R, as the objective is clamped
+    to [0, R], except on rows known to be on the DE branch (eps past the
+    matching upper bound on eps*, or a sampled x/g(x) below eps by more
+    than the tie window): there it is R*(1 - L(1 - rho(1 - x_s))), x_s
+    the largest sampled x where the DE orbit from x = 1 must stall.  It
+    holds unless a threshold solve stops at MAX_CUT_PASSES.  The scan
+    picks the same point as a full scan, the smallest R among ties.
+    Budgets with at most EXHAUSTIVE_LIMIT feasible R scan every integer R
+    and skip the refinement.  The scan and the refinement share one
+    memoized objective, so the refinement reuses the scan's solves.
     """
     r_lo, r_hi = _r_bounds(spec)
     if r_hi < r_lo:
@@ -384,23 +368,25 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
 
     cache: dict[int, tuple[float, ThresholdSolution, int]] = {}
 
-    def full(r: int) -> tuple[float, ThresholdSolution, int]:
+    def solve(r: int) -> tuple[float, ThresholdSolution, int]:
         if r not in cache:
-            cache[r] = _evaluate(r, spec, coarse=False)
+            cache[r] = _evaluate(r, spec)
         return cache[r]
 
-    if r_hi - r_lo + 1 <= EXHAUSTIVE_LIMIT:
-        every = np.arange(r_lo, r_hi + 1)
-        best_r = r_lo + _coarse_argmax(every, spec, lambda r: full(r)[0])
+    exhaustive = r_hi - r_lo + 1 <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        grid = np.arange(r_lo, r_hi + 1)
     else:
         grid = _geometric_ints(r_lo, r_hi, COARSE_POINTS_PER_DECADE)
-        j = _coarse_argmax(grid, spec)
+    j = _bounded_argmax(grid, spec, lambda r: solve(r)[0])
+    best_r = int(grid[j])
+    if not exhaustive:
         lo = float(grid[max(0, j - 1)])
         hi = float(grid[min(grid.size - 1, j + 1)])
         a, b = math.log(lo), math.log(hi)
 
         def at(u: float) -> float:
-            return full(max(r_lo, min(r_hi, int(round(math.exp(u))))))[0]
+            return solve(max(r_lo, min(r_hi, int(round(math.exp(u))))))[0]
 
         c = b - GOLDEN * (b - a)
         d = a + GOLDEN * (b - a)
@@ -419,12 +405,11 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
         center = int(round(math.exp(0.5 * (a + b))))
         candidates = {
             max(r_lo, min(r_hi, r))
-            for r in (center - 2, center - 1, center, center + 1, center + 2,
-                      int(grid[j]))
+            for r in (center - 2, center - 1, center, center + 1, center + 2, best_r)
         }
-        best_r = max(candidates, key=lambda r: full(r)[0])
+        best_r = max(candidates, key=lambda r: solve(r)[0])
 
-    value, sol, t_star = full(best_r)
+    value, sol, t_star = solve(best_r)
     return OptimumPoint(
         R_star=best_r,
         T_star=t_star,

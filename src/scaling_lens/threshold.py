@@ -37,7 +37,6 @@ minimum sits on the cut, solves for the crossing instead.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -65,8 +64,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 X_GRID_LO = 1e-9
-X_GRID_POINTS = 2048
+# the x grid every threshold solve minimizes x/g(x) over
+X_GRID = np.geomspace(X_GRID_LO, 1.0, 2048)
+X_GRID.setflags(write=False)
 _ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
+ZOOM_PASSES = 2
+# cap on the DE orbit from x = 1 in de_fixed_point
+DE_MAX_ITER = 30000
 MAX_CUT_PASSES = 64
 # separate wells of x/g(x) whose minima lie this close count as tied
 TIE_WINDOW = 1e-9
@@ -148,7 +152,7 @@ def _trivial_branch(
     return _iterate(model, eps, 0.0, max_iter, stop_above=stop_above)
 
 
-def de_fixed_point(model, eps: float, max_iter: int = 30000) -> float:
+def de_fixed_point(model, eps: float) -> float:
     """Stable DE fixed point reached from x = 1 (the decoder's end state).
 
     Converges to the trivial branch when decoding succeeds.  If the
@@ -158,7 +162,7 @@ def de_fixed_point(model, eps: float, max_iter: int = 30000) -> float:
     """
     x_lo = _trivial_branch(model, eps)
     exit_level = x_lo * (1.0 + 1e-9) + 1e-15
-    x = _iterate(model, eps, 1.0, max_iter, stop_below=exit_level)
+    x = _iterate(model, eps, 1.0, DE_MAX_ITER, stop_below=exit_level)
     return max(x, x_lo)
 
 
@@ -168,21 +172,14 @@ def de_bit_erasure(model, eps: float) -> float:
     return eps * model.L(1.0 - model.rho(1.0 - x_inf))
 
 
-@functools.lru_cache(maxsize=None)
-def _base_grid(points: int) -> np.ndarray:
-    grid = np.geomspace(X_GRID_LO, 1.0, points)
-    grid.setflags(write=False)
-    return grid
-
-
 def _ratio(model, x):
     """x / g(x) with g(x) = lam(1 - rho(1 - x)), +inf where g vanishes."""
     with np.errstate(divide="ignore", over="ignore"):
         return x / model.lam(1.0 - model.rho(1.0 - x))
 
 
-def _min_above(model, cut: float, grid, ratio, refine_passes: int):
-    """(min, x_at_min, tied, on_cut) of x/g(x) over the cut and grid above it.
+def _min_above(model, cut: float, ratio):
+    """(min, x_at_min, tied, on_cut) of x/g(x) over the cut and X_GRID above it.
 
     A geometric zoom around the minimizer recovers x_star beyond grid
     resolution.  Of separate wells within 1e-9 of the minimum the largest-x
@@ -190,8 +187,8 @@ def _min_above(model, cut: float, grid, ratio, refine_passes: int):
     """
     if cut >= 1.0:
         return math.inf, math.nan, False, False
-    start = int(np.searchsorted(grid, cut, side="right"))
-    xs = np.concatenate(([cut], grid[start:]))
+    start = int(np.searchsorted(X_GRID, cut, side="right"))
+    xs = np.concatenate(([cut], X_GRID[start:]))
     rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
     i = int(np.argmin(rs))
     near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
@@ -200,7 +197,7 @@ def _min_above(model, cut: float, grid, ratio, refine_passes: int):
         k = int(near[gaps[-1] + 1])
         i = k + int(np.argmin(rs[k : near[-1] + 1]))
     x_min, r_min = xs[i], rs[i]
-    for _ in range(refine_passes):
+    for _ in range(ZOOM_PASSES):
         lo, hi = xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)]
         if hi <= lo:
             break
@@ -212,17 +209,11 @@ def _min_above(model, cut: float, grid, ratio, refine_passes: int):
     return float(r_min), float(x_min), bool(gaps.size), bool(x_min == cut)
 
 
-def find_threshold(
-    model,
-    eps_lo: float = 0.0,
-    eps_hi: float = 1.0,
-    grid_points: int = X_GRID_POINTS,
-    refine_passes: int = 2,
-) -> ThresholdSolution:
+def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> ThresholdSolution:
     """Decoding threshold: the first eps with eps >= m(eps).
 
     m(eps) is the minimum of x/g(x) over the junk cut and the log-spaced
-    x grid above it.  From eps_hi the iteration eps <- m(eps) falls, as the
+    X_GRID above it.  From eps_hi the iteration eps <- m(eps) falls, as the
     cut does not decrease with eps, and stops in two passes when the
     minimizer lies above the cut.  On the cut it would converge only
     linearly, so there eps - m(eps) = 0 is solved by secant steps, then
@@ -236,8 +227,7 @@ def find_threshold(
     """
     if not 0.0 <= eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
-    grid = _base_grid(grid_points)
-    ratio = _ratio(model, grid)
+    ratio = _ratio(model, X_GRID)
 
     def m(eps):
         # the junk fixed point stays within a small factor of its seed
@@ -248,7 +238,7 @@ def find_threshold(
         junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
         x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
         cut = max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
-        return _min_above(model, cut, grid, ratio, refine_passes)
+        return _min_above(model, cut, ratio)
 
     # m(0) > 0, so only a positive eps_lo can be degenerate
     if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:

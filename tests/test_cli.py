@@ -109,6 +109,16 @@ class TestExitCodes:
         assert "100000" in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
+    def test_missing_output_directory_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, THRESHOLD_OK)
+        out = str(tmp_path / "missing" / "t.csv")
+        assert run_cli(["threshold", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write" in err and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
+
     def test_bad_flag_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, THRESHOLD_OK)
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +238,23 @@ class TestPeelSimCommand:
         cfg = write_config(tmp_path, self.CFG.replace("trials = 40", "trials = 0"))
         assert run_cli(["peel-sim", "--config", cfg]) == 1
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [(("d_t = 4", "d_t = 80"), "edge probability must lie in [0, 1]"),
+         (("seed = 5", "seed = -1"), "seed must fit in uint64")],
+        ids=["degree_above_R", "negative_seed"],
+    )
+    def test_monte_carlo_input_is_one_line_error(
+        self, change, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, self.CFG.replace(*change))
+        assert run_cli(["peel-sim", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
     def test_threads_zero_means_every_core(self, tmp_path, monkeypatch):
         """0 from the environment or the flag runs on every core, as recorded."""

@@ -19,7 +19,7 @@ from scaling_lens.optimizer import (
     optimize_budget,
     scaling_exponents,
     smooth3,
-    _coarse_argmax,
+    _bounded_argmax,
     _geometric_ints,
     _r_bounds,
     _row_bounds,
@@ -246,6 +246,24 @@ def coarse_grid(spec):
     return _geometric_ints(*_r_bounds(spec), COARSE_POINTS_PER_DECADE)
 
 
+def scan_solves(monkeypatch):
+    """Per-call counts of the objective evaluations inside _bounded_argmax."""
+    counts = []
+    bounded = optimizer._bounded_argmax
+
+    def counted(grid, spec, objective):
+        counts.append(0)
+
+        def tally(r):
+            counts[-1] += 1
+            return objective(r)
+
+        return bounded(grid, spec, tally)
+
+    monkeypatch.setattr(optimizer, "_bounded_argmax", counted)
+    return counts
+
+
 class TestPrunedCoarseScan:
     def test_matches_full_scan_argmax(self, desk_specs):
         """The descending scan stops early yet picks the full scan's index."""
@@ -253,37 +271,29 @@ class TestPrunedCoarseScan:
             grid = coarse_grid(spec)
             full = isoflop_curve(spec)
             np.testing.assert_array_equal(full.R, grid)
-            assert _coarse_argmax(grid, spec) == int(np.argmax(full.objective)), spec
+            j = _bounded_argmax(grid, spec, lambda r: optimizer._evaluate(r, spec)[0])
+            assert j == int(np.argmax(full.objective)), spec
 
     def test_evaluates_fewer_rows_than_grid(self, monkeypatch):
-        calls = []
-        evaluate = optimizer._evaluate
-
-        def counted(R, spec, coarse, T=None):
-            calls.append(coarse)
-            return evaluate(R, spec, coarse, T)
-
-        monkeypatch.setattr(optimizer, "_evaluate", counted)
+        counts = scan_solves(monkeypatch)
         for spec in FRONTIER_SPECS:
-            calls.clear()
             optimize_budget(spec)
-            assert 0 < sum(calls) < coarse_grid(spec).size, spec
+            assert 0 < counts[-1] < coarse_grid(spec).size, spec
+        assert len(counts) == len(FRONTIER_SPECS)
 
-    def test_tie_keeps_smallest_R(self, monkeypatch):
+    def test_tie_keeps_smallest_R(self):
         """Two separate rows share the best value; the smaller R wins."""
         spec = BudgetSpec(C=6e6, d_t=6.0)
         grid = coarse_grid(spec)
         i0, i1 = 40, 150
         top = float(grid[i0])
 
-        def fake(R, spec, coarse, T=None):
-            value = top if R in (grid[i0], grid[i1]) else 0.5 * top
-            return min(float(R), value), 0.5, int(spec.C_prime // R)
+        def fake(R):
+            return min(float(R), top if R in (grid[i0], grid[i1]) else 0.5 * top)
 
-        monkeypatch.setattr(optimizer, "_evaluate", fake)
-        values = [fake(int(r), spec, True)[0] for r in grid]
+        values = [fake(int(r)) for r in grid]
         assert values[i0] == values[i1] == max(values)
-        assert _coarse_argmax(grid, spec) == int(np.argmax(values)) == i0
+        assert _bounded_argmax(grid, spec, fake) == int(np.argmax(values)) == i0
 
 
 # configs/isoflop_desk.txt
@@ -296,7 +306,7 @@ ISOFLOP_DESK_SPECS = [BudgetSpec(C=c, d_t=6.0) for c in (6e5, 6e6, 6e7)]
 SPARSE_SPEC = BudgetSpec(C=6e6, d_t=3.0)
 
 
-# budgets of at most EXHAUSTIVE_LIMIT feasible R, scanned with full solves
+# budgets of at most EXHAUSTIVE_LIMIT feasible R, whose scan visits every integer R
 SMALL_SPECS = [
     BudgetSpec(C=3600.0, d_t=6.0),
     BudgetSpec(C=1200.0, d_t=2.5, epsilon=0.3),
@@ -304,14 +314,14 @@ SMALL_SPECS = [
 ]
 
 
-def assert_rows_within_bounds(grid, spec, coarse):
+def assert_rows_within_bounds(grid, spec):
     """Every row stays at or below its bound.  Every row whose bound is
     below R, and every row past the matching bound, takes the DE branch of
     effective_bit_erasure, the premise of the stall bound
     R*(1 - L(1 - rho(1 - x_s))).  Returns the number of rows bounded below R."""
     cut = 0
-    for r, bound in zip(grid.tolist(), _row_bounds(grid, spec, coarse).tolist()):
-        value, sol, t = optimizer._evaluate(r, spec, coarse)
+    for r, bound in zip(grid.tolist(), _row_bounds(grid, spec).tolist()):
+        value, sol, t = optimizer._evaluate(r, spec)
         assert value <= bound, (spec, r)
         model = DegreeModel(R=r, T=t, d_t=spec.d_t, epsilon=spec.epsilon)
         cut += bound < r
@@ -323,36 +333,35 @@ def assert_rows_within_bounds(grid, spec, coarse):
 
 
 class TestRowBounds:
-    def test_bound_holds_on_every_coarse_row(self, desk_specs):
-        """No coarse row beats its closed-form bound, and every row bounded
-        below R is on the DE branch."""
-        for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS + [SPARSE_SPEC]:
-            grid = coarse_grid(spec)
-            assert 0 < assert_rows_within_bounds(grid, spec, coarse=True) < grid.size
-
-    def test_bound_holds_on_every_small_budget_row(self):
-        """The small-budget scan bounds full solves, with the sample taken
-        from the full solve's 2048-point x grid."""
+    def test_bound_holds_on_every_row(self, desk_specs):
+        """No row beats its closed-form bound, and every row bounded below R
+        is on the DE branch: the geometric grids of large budgets and every
+        integer R of the small budgets that optimize_budget scans whole."""
+        grids = [
+            (spec, coarse_grid(spec))
+            for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS + [SPARSE_SPEC]
+        ]
         for spec in SMALL_SPECS:
             r_lo, r_hi = _r_bounds(spec)
-            every = np.arange(r_lo, r_hi + 1)
-            assert every.size <= optimizer.EXHAUSTIVE_LIMIT
-            assert 0 < assert_rows_within_bounds(every, spec, coarse=False) < every.size
+            assert r_hi - r_lo + 1 <= optimizer.EXHAUSTIVE_LIMIT
+            grids.append((spec, np.arange(r_lo, r_hi + 1)))
+        for spec, grid in grids:
+            assert 0 < assert_rows_within_bounds(grid, spec) < grid.size
 
-    @pytest.mark.parametrize("coarse", [True, False], ids=["coarse", "full"])
-    def test_sample_lies_on_the_solver_grid(self, coarse, monkeypatch):
+    def test_sample_lies_on_the_solver_grid(self, monkeypatch):
         """A sampled x certifies eps* < eps only if the solve minimizes over it."""
         grids = []
-        base = threshold._base_grid
+        ratio = threshold._ratio
 
-        def spy(points):
-            grids.append(base(points))
-            return grids[-1]
+        def spy(model, x):
+            grids.append(x)
+            return ratio(model, x)
 
-        monkeypatch.setattr(threshold, "_base_grid", spy)
-        optimizer._solve_threshold(DegreeModel(R=400, T=2500, d_t=6.0), coarse)
-        sample = optimizer._stall_sample(coarse)
-        assert len(grids) == 1 and sample.size == optimizer.STALL_SAMPLE_POINTS
+        monkeypatch.setattr(threshold, "_ratio", spy)
+        find_threshold(DegreeModel(R=400, T=2500, d_t=6.0))
+        sample = optimizer.STALL_SAMPLE
+        assert grids[0] is threshold.X_GRID
+        assert sample.size == optimizer.STALL_SAMPLE_POINTS
         assert np.isin(sample, grids[0]).all()
 
     def test_certifying_ratio_clears_the_tie_window(self):
@@ -363,14 +372,14 @@ class TestRowBounds:
         the row R = 400, T = 1800 sits one window below that level: the row
         must keep the bound R."""
         R, T, eps = 400, 1800, 0.5
-        sample = optimizer._stall_sample(True)
+        sample = optimizer.STALL_SAMPLE
 
         def gap(d_t):
             model = DegreeModel(R=R, T=T, d_t=d_t, epsilon=eps)
             ratio = threshold._ratio(model, sample)
             return float(ratio.min()) - (eps * (1.0 - 1e-6) - threshold.TIE_WINDOW)
 
-        lo, hi = 5.0, 6.0
+        lo, hi = 5.0, 7.0
         assert gap(lo) > 0.0 > gap(hi)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -384,7 +393,7 @@ class TestRowBounds:
         spec = BudgetSpec(C=6.0 * R * T, d_t=d_t, epsilon=eps)
         assert _row_bounds(np.array([R]), spec).tolist() == [float(R)]
 
-    def test_tie_keeps_smallest_R_solved_first(self, monkeypatch):
+    def test_tie_keeps_smallest_R_solved_first(self):
         """Two rows tie.  The smaller R has the larger bound, so it is solved
         first, and the later tie at a larger R does not displace it."""
         spec = BudgetSpec(C=6e6, d_t=6.0)
@@ -394,27 +403,18 @@ class TestRowBounds:
         top = 0.9 * bounds[i1]
         assert top < bounds[i1] < bounds[i0] == grid[i0]
 
-        def fake(R, spec, coarse, T=None):
-            value = top if R in (grid[i0], grid[i1]) else 0.5 * top
-            return value, None, int(spec.C_prime // R)
+        def fake(R):
+            return top if R in (grid[i0], grid[i1]) else 0.5 * top
 
-        monkeypatch.setattr(optimizer, "_evaluate", fake)
-        values = [fake(int(r), spec, True)[0] for r in grid]
-        assert _coarse_argmax(grid, spec) == int(np.argmax(values)) == i0
+        values = [fake(int(r)) for r in grid]
+        assert _bounded_argmax(grid, spec, fake) == int(np.argmax(values)) == i0
 
     def test_frontier_solves_at_most_5_coarse_rows(self, monkeypatch):
-        calls = []
-        evaluate = optimizer._evaluate
-
-        def counted(R, spec, coarse, T=None):
-            calls.append(coarse)
-            return evaluate(R, spec, coarse, T)
-
-        monkeypatch.setattr(optimizer, "_evaluate", counted)
+        counts = scan_solves(monkeypatch)
         for spec in FRONTIER_SPECS:
-            calls.clear()
             optimize_budget(spec)
-            assert 0 < sum(calls) <= 5, spec
+            assert 0 < counts[-1] <= 5, spec
+        assert len(counts) == len(FRONTIER_SPECS)
 
 
 class TestScalingExponents:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from scaling_lens.degree import DegreeModel, PolynomialPair, eval_gen
+from scaling_lens.optimizer import BudgetSpec, isoflop_curve
 from scaling_lens.peeling import mc_parent_graph_erasure
 from scaling_lens import threshold
 from scaling_lens.threshold import (
@@ -53,7 +54,7 @@ def dense_geometric_threshold(model, points=1 << 22, chunk=1 << 17):
     for start in range(0, points, chunk):
         x = np.exp(log_x[start : start + chunk])
         g = model.lam(1.0 - model.rho(1.0 - x))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             best = min(best, float(np.min(x / g)))
     return min(1.0, best)
 
@@ -188,11 +189,7 @@ class TestFindThreshold:
             assert s2.eps_star >= s1.eps_star - 1e-6
 
     def test_random_models_match_dense_minimum(self):
-        """Clean models (lam(0) <= 1e-9): eps_star is the dense min of x/g(x).
-
-        Default settings agree to 1e-8, the optimizer's coarse settings
-        (512 points, one zoom pass) to 1e-5.
-        """
+        """Clean models (lam(0) <= 1e-9): eps_star is the dense min of x/g(x) to 1e-8."""
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 24:
@@ -203,12 +200,28 @@ class TestFindThreshold:
             if model.lam(0.0) > 1e-9:
                 continue
             oracle = dense_geometric_threshold(model)
-            full = find_threshold(model)
-            coarse = find_threshold(model, grid_points=512, refine_passes=1)
-            assert abs(full.eps_star - oracle) <= 1e-8, (model, full.eps_star, oracle)
-            assert abs(coarse.eps_star - oracle) <= 1e-5, (model, coarse.eps_star, oracle)
-            assert not full.on_junk_cut
+            sol = find_threshold(model)
+            assert abs(sol.eps_star - oracle) <= 1e-8, (model, sol.eps_star, oracle)
+            assert not sol.on_junk_cut
             checked += 1
+
+    def test_isoflop_rows_match_dense_minimum(self):
+        """isoflop_curve meets the solver's 1e-8 tolerance on its clean rows.
+
+        Twelve rows with lam(0) <= 1e-9, spread over the C = 6e5 curve of
+        configs/isoflop_desk.txt.
+        """
+        curve = isoflop_curve(BudgetSpec(C=6e5, d_t=6.0))
+        models = [
+            DegreeModel(R=int(r), T=int(t), d_t=6.0)
+            for r, t in zip(curve.R.tolist(), curve.T.tolist())
+        ]
+        clean = [i for i, m in enumerate(models) if m.lam(0.0) <= 1e-9]
+        for i in np.linspace(0, len(clean) - 1, 12).round().astype(int):
+            k = clean[i]
+            oracle = dense_geometric_threshold(models[k])
+            err = abs(curve.eps_star[k] - oracle)
+            assert err <= 1e-8, (models[k], curve.eps_star[k], oracle)
 
     @pytest.mark.parametrize(
         "R, T",
@@ -230,15 +243,13 @@ class TestFindThreshold:
             return _trivial_branch(*args, **kwargs)
 
         monkeypatch.setattr(threshold, "_trivial_branch", counted)
-        full = find_threshold(model)
+        sol = find_threshold(model)
         assert 1 <= len(passes) <= 20
-        coarse = find_threshold(model, grid_points=512, refine_passes=1)
         monkeypatch.undo()
         step = 1e-4
-        first = first_eps_with_fixed_point(model, full.eps_star - 50 * step, step)
-        assert full.on_junk_cut and coarse.on_junk_cut
-        assert abs(full.eps_star - first) <= step
-        assert abs(coarse.eps_star - first) <= step
+        first = first_eps_with_fixed_point(model, sol.eps_star - 50 * step, step)
+        assert sol.on_junk_cut
+        assert abs(sol.eps_star - first) <= step
 
 
 class TestJunkOrbitEarlyStop:
@@ -255,16 +266,14 @@ class TestJunkOrbitEarlyStop:
             d_t = float(rng.uniform(1.0, 9.0))
             T = max(1, int(R * rng.uniform(0.5, 40.0) / d_t))
             models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
-        settings = ({}, {"grid_points": 512, "refine_passes": 1})
 
         def solve_all():
             out = []
             for model in models:
-                for kw in settings:
-                    try:
-                        out.append(find_threshold(model, **kw))
-                    except DegenerateThreshold as exc:
-                        out.append(repr(exc))
+                try:
+                    out.append(find_threshold(model))
+                except DegenerateThreshold as exc:
+                    out.append(repr(exc))
             return out
 
         stopped = solve_all()
