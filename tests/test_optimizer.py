@@ -333,20 +333,21 @@ def assert_rows_within_bounds(grid, spec):
 
 
 class TestRowBounds:
-    def test_bound_holds_on_every_row(self, desk_specs):
-        """No row beats its closed-form bound, and every row bounded below R
-        is on the DE branch: the geometric grids of large budgets and every
-        integer R of the small budgets that optimize_budget scans whole."""
-        grids = [
-            (spec, coarse_grid(spec))
-            for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS + [SPARSE_SPEC]
-        ]
+    def test_bound_holds_on_every_coarse_row(self, desk_specs):
+        """No row of a large budget's geometric grid beats its closed-form
+        bound, and every row bounded below R is on the DE branch."""
+        for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS + [SPARSE_SPEC]:
+            grid = coarse_grid(spec)
+            assert 0 < assert_rows_within_bounds(grid, spec) < grid.size
+
+    def test_bound_holds_on_every_small_budget_row(self):
+        """The same holds on every integer R of the small budgets that
+        optimize_budget scans whole."""
         for spec in SMALL_SPECS:
             r_lo, r_hi = _r_bounds(spec)
-            assert r_hi - r_lo + 1 <= optimizer.EXHAUSTIVE_LIMIT
-            grids.append((spec, np.arange(r_lo, r_hi + 1)))
-        for spec, grid in grids:
-            assert 0 < assert_rows_within_bounds(grid, spec) < grid.size
+            every = np.arange(r_lo, r_hi + 1)
+            assert every.size <= optimizer.EXHAUSTIVE_LIMIT
+            assert 0 < assert_rows_within_bounds(every, spec) < every.size
 
     def test_sample_lies_on_the_solver_grid(self, monkeypatch):
         """A sampled x certifies eps* < eps only if the solve minimizes over it."""
