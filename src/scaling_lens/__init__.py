@@ -46,7 +46,6 @@ from .optimizer import (
     IsoflopCurve,
     OptimumPoint,
     ScalingFit,
-    effective_bit_erasure,
     expected_learned,
     isoflop_curve,
     optimize_budget,

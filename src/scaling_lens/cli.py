@@ -374,19 +374,17 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not 0.0 <= params["eps_lo"] < params["eps_hi"] <= 1.0:
-        raise ConfigError(
-            f"need 0 <= eps_lo < eps_hi <= 1, got [{params['eps_lo']}, {params['eps_hi']}]"
-        )
     try:
         sol = find_threshold(model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"])
-        ub = matching_upper_bound(model)
-        p_b = bit_erasure_rate(model, sol)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     except (NonPositiveRadicand, DegenerateThreshold) as exc:
         raise NumericFailure(
             f"{type(exc).__name__}: {exc}",
             {k: params[k] for k in ("R", "T", "d_t", "epsilon")},
         ) from None
+    ub = matching_upper_bound(model)
+    p_b = bit_erasure_rate(model, sol)
     if sol.no_transition:
         notes.append("NoTransition: no decoding transition below eps_hi")
     # the fixed point and scaling constants are undefined for a

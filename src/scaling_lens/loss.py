@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .degree import DegreeModel
-from .optimizer import BudgetSpec, effective_bit_erasure, optimize_budget
+from .optimizer import BudgetSpec, optimize_budget
+from .threshold import bit_erasure_rate
 
 __all__ = [
     "APPROX_CONSTANT_DISCREPANCY",
@@ -126,7 +127,7 @@ def frontier_loss_curve(specs: list[BudgetSpec]) -> list[FrontierRow]:
         model = DegreeModel(
             R=opt.R_star, T=opt.T_star, d_t=spec.d_t, epsilon=spec.epsilon
         )
-        p_raw = effective_bit_erasure(model, opt.solution)
+        p_raw = bit_erasure_rate(model, opt.solution)
         point = loss_point(p_raw, opt.R_star, spec.d_t, spec.epsilon)
         rows.append(
             FrontierRow(

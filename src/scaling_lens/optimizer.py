@@ -6,17 +6,8 @@ Since extra texts never hurt peeling, the constraint binds: T = C'/R,
 and the problem is one-dimensional in R.
 
 The objective is the expected number of concepts learned,
-R * (1 - P_b/epsilon), with P_b the post-peeling erasure rate.  Up to
-the threshold the waterfall law nu* Q(sqrt(R/eps)(eps*-eps)/alpha)
-supplies P_b, including its finite-size rounding near eps* = eps.
-Strictly above threshold the law saturates at nu* while the true rate
-keeps growing along the density-evolution fixed point, so there the
-effective rate is the max of the law and the DE value at the operating
-erasure.  The DE value also covers the two no-transition regimes: data
-rich (DE -> 0, every concept learnable) and subcritical (DE stalls
-high, the curve tail collapses).  Monte-Carlo runs back this choice;
-the all-law objective overshoots the failure regime by an order of
-magnitude.
+R * (1 - P_b/epsilon), with P_b the post-peeling erasure rate that
+threshold.bit_erasure_rate gives.
 
 The optimizer's scan rules most rows out without a threshold solve, by
 a closed-form bound on each row's objective.  The objective is clamped
@@ -55,7 +46,6 @@ from .threshold import (
     ThresholdSolution,
     binomial_matching_bound,
     bit_erasure_rate,
-    de_bit_erasure,
     find_threshold,
 )
 
@@ -66,7 +56,6 @@ __all__ = [
     "IsoflopCurve",
     "OptimumPoint",
     "ScalingFit",
-    "effective_bit_erasure",
     "expected_learned",
     "interior_maxima",
     "isoflop_curve",
@@ -149,20 +138,6 @@ class ScalingFit:
     r2: float
 
 
-def effective_bit_erasure(model: DegreeModel, sol: ThresholdSolution) -> float:
-    """Post-peeling erasure rate at the model's operating epsilon.
-
-    ``bit_erasure_rate`` alone below/at threshold and on the junk cut
-    (where it already is the DE rate); joined with the DE fixed-point
-    rate strictly above threshold and in the no-transition regimes,
-    where the frozen-at-threshold law cannot follow the truth.
-    """
-    law = bit_erasure_rate(model, sol)
-    if sol.on_junk_cut or (not sol.no_transition and model.epsilon <= sol.eps_star):
-        return law
-    return max(law, de_bit_erasure(model, model.epsilon))
-
-
 def _evaluate(
     R: int, spec: BudgetSpec, T: int | None = None
 ) -> tuple[float, ThresholdSolution, int]:
@@ -171,7 +146,7 @@ def _evaluate(
         T = int(spec.C_prime // R)
     model = DegreeModel(R=R, T=T, d_t=spec.d_t, epsilon=spec.epsilon)
     sol = find_threshold(model)
-    p_b = effective_bit_erasure(model, sol)
+    p_b = bit_erasure_rate(model, sol)
     frac = min(1.0, p_b / spec.epsilon)
     value = min(float(R), max(0.0, R * (1.0 - frac)))
     return value, sol, T
@@ -280,8 +255,8 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
 def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
-    On the DE branch of effective_bit_erasure the rate is at least the DE
-    rate eps*L(1 - rho(1 - x_inf)), x_inf the end of the DE orbit from
+    On the DE branch of bit_erasure_rate the rate is at least the DE rate
+    eps*L(1 - rho(1 - x_inf)), x_inf the end of the DE orbit from
     x = 1.  That orbit never falls below an x with f(x) >= x, i.e. with
     x/g(x) <= eps, so with x_s the largest such x of STALL_SAMPLE (0 if
     none) the objective is at most R*(1 - L(1 - rho(1 - x_s))); at
@@ -350,12 +325,13 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     evaluation always happens at integer (R, T).  The scan solves rows in
     descending order of _row_bounds and stops once the bound falls below
     the best value so far.  The bound is R, as the objective is clamped
-    to [0, R], except on rows known to be on the DE branch (eps past the
-    matching upper bound on eps*, or a sampled x/g(x) below eps by more
-    than the tie window): there it is R*(1 - L(1 - rho(1 - x_s))), x_s
-    the largest sampled x where the DE orbit from x = 1 must stall.  It
-    holds unless a threshold solve stops at MAX_CUT_PASSES.  The scan
-    picks the same point as a full scan, the smallest R among ties.
+    to [0, R], except on rows known to be on the DE branch of
+    bit_erasure_rate (eps past the matching upper bound on eps*, or a
+    sampled x/g(x) below eps by more than the tie window): there it is
+    R*(1 - L(1 - rho(1 - x_s))), x_s the largest sampled x where the DE
+    orbit from x = 1 must stall.  It holds unless a threshold solve
+    stops at MAX_CUT_PASSES.  The scan picks the same point as a full
+    scan, the smallest R among ties.
     Budgets with at most EXHAUSTIVE_LIMIT feasible R scan every integer R
     and skip the refinement.  The scan and the refinement share one
     memoized objective, so the refinement reuses the scan's solves.
@@ -451,3 +427,7 @@ def scaling_exponents(
     a, r2_a = fit(log_n)
     b, r2_b = fit(log_d)
     return ScalingFit(a=a, b=b, r2=min(r2_a, r2_b))
+
+
+# bench/workloads.py still calls the rate by its former name
+effective_bit_erasure = bit_erasure_rate

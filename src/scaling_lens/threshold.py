@@ -222,8 +222,7 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
 
     Raises DegenerateThreshold if a fixed point already exists at eps_lo.
     If none exists even at eps_hi the returned solution carries
-    eps_star = eps_hi with no_transition set; its law-based erasure rate
-    is zero by convention.
+    eps_star = eps_hi with no_transition set.
     """
     if not 0.0 <= eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
@@ -363,21 +362,32 @@ def scaling_alpha(model, x_star: float, eps_star: float) -> float:
 
 
 def bit_erasure_rate(model: DegreeModel, sol: ThresholdSolution) -> float:
-    """Waterfall-law bit erasure rate nu_star*Q(sqrt(R/eps)*(eps_star - eps)/alpha).
+    """Post-peeling bit erasure rate at the model's operating erasure fraction.
 
-    Evaluated at the model's operating erasure fraction; the sqrt scale is
-    the parent-graph size R/eps.  A no-transition solution decodes at any
-    eps, so its law value is 0.  Deep in either regime the Q factor
-    saturates to 0 or 1 on its own.  On the junk cut, which has no
-    waterfall, the rate is the density-evolution one.
+    Up to the threshold (eps <= eps_star) the rate is the finite-size
+    waterfall law nu_star*Q(sqrt(R/eps)*(eps_star - eps)/alpha), whose sqrt
+    scale is the parent-graph size R/eps; deep below threshold its Q factor
+    underflows to 0 on its own.  Strictly above threshold the law
+    saturates at nu_star while the true rate keeps growing along the
+    density-evolution fixed point, so there the rate is the max of the law
+    and the DE rate.  With no transition there is no law (0), and the DE
+    rate covers both regimes: data rich (DE -> 0, every concept learnable)
+    and subcritical (DE stalls high).  On the junk cut, which has no
+    waterfall, the rate is the DE one.  Monte-Carlo runs back each branch;
+    with the law alone the optimizer's objective overshoots the failure
+    regime by an order of magnitude.
     """
-    if sol.no_transition:
-        return 0.0
     eps = model.epsilon
     if sol.on_junk_cut:
         return de_bit_erasure(model, eps)
-    z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
-    return sol.nu_star * qfunc(z)
+    if sol.no_transition:
+        law = 0.0
+    else:
+        z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
+        law = sol.nu_star * qfunc(z)
+        if eps <= sol.eps_star:
+            return law
+    return max(law, de_bit_erasure(model, eps))
 
 
 def prob_concept_unlearned(model: DegreeModel, sol: ThresholdSolution) -> float:

@@ -12,7 +12,6 @@ from scaling_lens.optimizer import (
     BudgetSpec,
     EmptyGrid,
     InsufficientPoints,
-    effective_bit_erasure,
     expected_learned,
     interior_maxima,
     isoflop_curve,
@@ -25,7 +24,7 @@ from scaling_lens.optimizer import (
     _row_bounds,
 )
 from scaling_lens.peeling import mc_expected_learned
-from scaling_lens.threshold import find_threshold, matching_upper_bound
+from scaling_lens.threshold import bit_erasure_rate, find_threshold, matching_upper_bound
 
 
 class TestBudgetSpec:
@@ -77,20 +76,32 @@ class TestExpectedLearned:
         assert abs(obj - mc.mean) <= 3 * mc.stderr
 
     def test_is_the_rate_composition(self):
-        """Wiring check against the public rate functions."""
-        spec = BudgetSpec(C=6e6, d_t=6.0, epsilon=0.5)
-        for R, T in ((400, 900), (150, 2000)):
-            model = DegreeModel(R=R, T=T, d_t=6.0, epsilon=0.5)
+        """Wiring check: the objective is built from the one public rate,
+        in every regime of bit_erasure_rate."""
+        cases = {
+            "above threshold, deep": (400, 900, 6.0),
+            "below threshold": (150, 2000, 6.0),
+            "above threshold, near eps_star": (1000, 4000, 6.0),
+            "junk cut": (206, 48, 6.0),
+            "no transition": (1000, 800, 0.9),
+        }
+        for regime, (R, T, d_t) in cases.items():
+            model = DegreeModel(R=R, T=T, d_t=d_t, epsilon=0.5)
             sol = find_threshold(model)
-            frac = min(1.0, effective_bit_erasure(model, sol) / 0.5)
+            assert regime.startswith(
+                "junk cut" if sol.on_junk_cut
+                else "no transition" if sol.no_transition
+                else "above" if sol.eps_star < 0.5 else "below"
+            ), (regime, sol)
+            frac = min(1.0, bit_erasure_rate(model, sol) / 0.5)
             np.testing.assert_allclose(
-                expected_learned(R, T, spec), R * (1 - frac), rtol=1e-12
+                expected_learned(R, T, BudgetSpec(C=6e6, d_t=d_t)), R * (1 - frac), rtol=1e-12
             )
 
     @pytest.mark.xfail(
         strict=True,
         reason="below threshold the waterfall law has no floor for concepts "
-        "that sit in no text (ROADMAP item 5)",
+        "that sit in no text (ROADMAP item 3)",
     )
     def test_no_row_learns_concepts_no_text_covers(self):
         """A concept that appears in no text can never be learned, so no
@@ -317,7 +328,7 @@ SMALL_SPECS = [
 def assert_rows_within_bounds(grid, spec):
     """Every row stays at or below its bound.  Every row whose bound is
     below R, and every row past the matching bound, takes the DE branch of
-    effective_bit_erasure, the premise of the stall bound
+    bit_erasure_rate, the premise of the stall bound
     R*(1 - L(1 - rho(1 - x_s))).  Returns the number of rows bounded below R."""
     cut = 0
     for r, bound in zip(grid.tolist(), _row_bounds(grid, spec).tolist()):

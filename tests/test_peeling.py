@@ -10,7 +10,6 @@ import pytest
 
 from scaling_lens import _peel_py
 from scaling_lens.degree import DegreeModel
-from scaling_lens.optimizer import effective_bit_erasure
 from scaling_lens.peeling import (
     BipartiteGraph,
     BudgetExceeded,
@@ -369,7 +368,7 @@ class TestMcExpectedLearned:
         """
         model = DegreeModel(R=200, T=400, d_t=4.0, epsilon=0.5)
         sol = find_threshold(model)
-        pb = effective_bit_erasure(model, sol)
+        pb = bit_erasure_rate(model, sol)
         predicted = 200 * (1.0 - pb / 0.5)
         mc = mc_expected_learned(R=200, T=400, d_t=4.0, trials=2000, seed=5)
         if abs(mc.mean - predicted) > 3 * mc.stderr:
