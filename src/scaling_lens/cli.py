@@ -29,7 +29,6 @@ from . import __version__
 from .degree import DegreeModel
 from .threshold import (
     DegenerateThreshold,
-    NonPositiveRadicand,
     bit_erasure_rate,
     find_threshold,
     matching_upper_bound,
@@ -378,7 +377,7 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
         sol = find_threshold(model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    except (NonPositiveRadicand, DegenerateThreshold) as exc:
+    except DegenerateThreshold as exc:
         raise NumericFailure(
             f"{type(exc).__name__}: {exc}",
             {k: params[k] for k in ("R", "T", "d_t", "epsilon")},
@@ -476,7 +475,7 @@ def _run_frontier(params: dict, extras: dict, notes: list[str]):
     specs = _resolve_budget_specs(params)
     try:
         opts = [optimize_budget(s) for s in specs]
-    except (NonPositiveRadicand, EmptyGrid) as exc:
+    except EmptyGrid as exc:
         raise NumericFailure(str(exc), {"budgets": [s.C for s in specs]}) from None
     columns = [
         "C", "R_star", "T_star", "N_star", "D_star", "objective",
@@ -499,7 +498,7 @@ def _run_loss(params: dict, extras: dict, notes: list[str]):
     specs = _resolve_budget_specs(params)
     try:
         frontier = frontier_loss_curve(specs)
-    except (NonPositiveRadicand, EmptyGrid) as exc:
+    except EmptyGrid as exc:
         raise NumericFailure(str(exc), {"budgets": [s.C for s in specs]}) from None
     columns = [
         "C", "R_star", "N_star", "P_b", "P_e_train_exact",

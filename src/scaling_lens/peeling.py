@@ -14,7 +14,9 @@ unknown neighbour.
 
 Sampling draws edge positions on the flattened T*R grid by geometric
 gap skipping, which reproduces i.i.d. Bernoulli(p) cells exactly in
-O(edges) time.  Every trial owns a counter-based RNG keyed by
+O(edges) time.  Each gap is ceil(E / -log1p(-p)) for a standard
+exponential draw E: inversion of the geometric distribution, exact for
+every p.  Every trial owns a counter-based RNG keyed by
 (seed, trial), so results are reproducible and independent of the
 thread count; trial 0 of a Monte-Carlo run sees the same graph as
 ``sample_graph(R, T, p, seed)``.
@@ -24,6 +26,8 @@ into (text, concept) edge arrays and peels straight from them.  The
 counters and the reverse CSR take only the edges of unknown concepts:
 a known concept is never learned, because the per-text id sums cover
 only unknown neighbours, so its reverse-CSR row would never be read.
+The reverse CSR sorts one packed (concept, text) key per edge, 32 bits
+wide whenever the grid allows.
 """
 
 from __future__ import annotations
@@ -111,11 +115,23 @@ def _reverse_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Concept -> incident texts adjacency (texts ascending) of the edges (text, concept).
 
-    Sorts the keys concept*T + text; they fit in int64 because the T*R grid does.
+    Sorts the packed keys (concept << s) | text, s = (T - 1).bit_length(),
+    so that a key orders by concept, then text.  They are sorted as uint32
+    when R << s <= 2**32 (a 2000-concept, 6500-text trial packs to
+    2000 << 13), else as int64, which needs R * 2**s < 2**63.  Returns
+    int64 arrays.
     """
-    key = np.sort(concept.astype(np.int64, copy=False) * n_texts + text)
-    rev_indptr = np.searchsorted(key, np.arange(n_concepts + 1, dtype=np.int64) * n_texts)
-    return rev_indptr, key - key // n_texts * n_texts
+    shift = (n_texts - 1).bit_length()
+    key = np.left_shift(concept, shift, dtype=np.int64)
+    key |= text
+    if n_concepts << shift <= 2**32:
+        key = key.astype(np.uint32)
+    key.sort()
+    rev_indices = np.empty(key.shape[0], dtype=np.int64)
+    np.bitwise_and(key, (1 << shift) - 1, out=rev_indices)
+    rev_indptr = np.zeros(n_concepts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(concept, minlength=n_concepts), out=rev_indptr[1:])
+    return rev_indptr, rev_indices
 
 
 @dataclass(frozen=True)
@@ -151,20 +167,33 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _sample_positions(rng: np.random.Generator, n_cells: int, p: float) -> np.ndarray:
-    """Indices of occupied cells on a Bernoulli(p) grid of size n_cells.
+    """Sorted indices of the occupied cells of a Bernoulli(p) grid of size n_cells.
 
-    Geometric gaps between successes; positions come out sorted.
+    Adds up geometric gaps, each ceil(E / -log1p(-p)) for a standard
+    exponential draw E.  For p < 1/3 that is the inversion
+    ``Generator.geometric`` runs, draw for draw, so both leave the same
+    positions and the same generator state; numpy searches for p >= 1/3,
+    where the draws differ but inversion stays exact.  A gap is clipped at
+    n_cells + 1, past the grid, so that its int64 cast is defined.
     """
     if p <= 0.0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n_cells, dtype=np.int64)
+    scale = -math.log1p(-p)
     expected = n_cells * p
     chunk = int(expected + 10.0 * math.sqrt(expected) + 32.0)
     pieces = []
     last = -1
     while last < n_cells:
-        pos = rng.geometric(p, size=chunk).astype(np.int64, copy=False)
+        gap = rng.standard_exponential(size=chunk)
+        gap /= scale
+        np.ceil(gap, out=gap)
+        np.minimum(gap, n_cells + 1, out=gap)
+        # cast in place (float64 and int64 share a width): a second
+        # gap-sized array per trial lifts the worker threads' peak RSS
+        pos = gap.view(np.int64)
+        pos[...] = gap
         np.cumsum(pos, out=pos)
         pos += last
         pieces.append(pos)
@@ -174,8 +203,11 @@ def _sample_positions(rng: np.random.Generator, n_cells: int, p: float) -> np.nd
     return out[:np.searchsorted(out, n_cells)]
 
 
-def _split_positions(positions: np.ndarray, R: int) -> tuple[np.ndarray, np.ndarray]:
-    """(text, concept) of each occupied cell of the text-major T*R grid."""
+def _sample_edges(
+    rng: np.random.Generator, R: int, T: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(text, concept) of each edge of G(R, T, p), in text-major cell order."""
+    positions = _sample_positions(rng, T * R, p)
     text = positions // R
     # no temporary: a third edge-sized array per trial lifts the worker
     # threads' malloc high-water mark, and so the peak RSS
@@ -187,7 +219,7 @@ def _split_positions(positions: np.ndarray, R: int) -> tuple[np.ndarray, np.ndar
 def _sample_with_rng(
     rng: np.random.Generator, R: int, T: int, p: float, seed: int
 ) -> BipartiteGraph:
-    text, concept = _split_positions(_sample_positions(rng, T * R, p), R)
+    text, concept = _sample_edges(rng, R, T, p)
     indptr = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(np.bincount(text, minlength=T), out=indptr[1:])
     return BipartiteGraph(
@@ -332,7 +364,7 @@ def mc_expected_learned(
     _check_budget(R, T, p)
 
     def one_trial(i: int) -> float:
-        text, concept = _split_positions(_sample_positions(_trial_rng(seed, i), T * R, p), R)
+        text, concept = _sample_edges(_trial_rng(seed, i), R, T, p)
         _, n_peeled = _peel_edges(R, T, text, concept, None)
         return float(n_peeled)
 
@@ -362,7 +394,7 @@ def mc_parent_graph_erasure(
     def one_trial(i: int) -> float:
         rng = _trial_rng(seed, i)
         # the reference digests fix the draw order: gaps, then the permutation
-        text, concept = _split_positions(_sample_positions(rng, model.T * n_parent, p), n_parent)
+        text, concept = _sample_edges(rng, n_parent, model.T, p)
         unknown = np.zeros(n_parent, dtype=bool)
         unknown[rng.permutation(n_parent)[:n_erased]] = True
         _, n_peeled = _peel_edges(n_parent, model.T, text, concept, unknown)

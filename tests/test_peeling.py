@@ -21,7 +21,7 @@ from scaling_lens.peeling import (
     resolve_threads,
     sample_graph,
 )
-from scaling_lens.peeling import _reverse_csr, _sample_with_rng, _trial_rng
+from scaling_lens.peeling import _reverse_csr, _sample_positions, _sample_with_rng, _trial_rng
 from scaling_lens.threshold import bit_erasure_rate, find_threshold
 
 
@@ -87,6 +87,21 @@ def assert_final_counters(graph, unknown, learned, cnt, ssum):
         assert ssum[t] == row[residual[row]].sum()
 
 
+def geometric_positions(rng, n_cells, p):
+    """Occupied cells of a Bernoulli(p) grid from ``Generator.geometric`` gaps."""
+    expected = n_cells * p
+    chunk = int(expected + 10.0 * math.sqrt(expected) + 32.0)
+    pieces = []
+    last = -1
+    while last < n_cells:
+        pos = np.cumsum(rng.geometric(p, size=chunk)) + last
+        pieces.append(pos)
+        last = int(pos[-1])
+        chunk = max(1024, chunk // 8)
+    out = np.concatenate(pieces)
+    return out[:np.searchsorted(out, n_cells)]
+
+
 def random_order_peel(graph, rng):
     """Peel by picking a uniformly random eligible text each step."""
     live = set(range(graph.n_concepts))
@@ -115,6 +130,36 @@ class TestSampleGraph:
         g = sample_graph(R=1000, T=1000, p=6e-3, seed=123)
         sigma = np.sqrt(1000 * 1000 * 6e-3 * (1 - 6e-3))
         assert abs(g.n_edges - 6000) < 4 * sigma
+
+    @pytest.mark.parametrize("p", [1e-5, 0.003, 0.006, 0.012, 0.2, 0.333])
+    def test_positions_match_numpy_geometric_below_one_third(self, p):
+        n_cells = 10**6
+        for seed in range(16):
+            ours, theirs = _trial_rng(seed, 3), _trial_rng(seed, 3)
+            assert np.array_equal(
+                _sample_positions(ours, n_cells, p), geometric_positions(theirs, n_cells, p)
+            )
+            # the small state arrays print in full, so equal reprs mean equal states
+            assert repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_edge_count_concentrates_from_one_third_up(self, p):
+        """numpy's geometric searches here; inversion must still be Bernoulli(p)."""
+        n_cells = 10**6
+        for seed in range(4):
+            pos = _sample_positions(_trial_rng(seed, 0), n_cells, p)
+            assert np.all(np.diff(pos) > 0) and 0 <= pos[0] and pos[-1] < n_cells
+            sigma = math.sqrt(n_cells * p * (1 - p))
+            assert abs(pos.size - n_cells * p) < 5 * sigma
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-300])
+    def test_tiny_probability_casts_cleanly(self, p):
+        """Gaps far past the grid are clipped before the int64 cast and the cumsum."""
+        n_cells = 10**6
+        with np.errstate(all="raise"):
+            for seed in range(8):
+                pos = _sample_positions(_trial_rng(seed, 0), n_cells, p)
+                assert pos.dtype == np.int64 and np.all((0 <= pos) & (pos < n_cells))
 
     def test_same_seed_same_graph(self):
         a = sample_graph(R=40, T=60, p=0.1, seed=77)
@@ -307,20 +352,29 @@ class TestNumpyKernel:
             T = int(rng.integers(0, 90))
             p = float(rng.uniform(0.0, 0.5))
             graphs.append(sample_graph(R=R, T=T, p=p, seed=int(rng.integers(2**32))))
+        cases = []
         for g in graphs:
             text_ids = np.repeat(np.arange(g.n_texts, dtype=np.int64), np.diff(g.indptr))
             # the whole graph, then the edges of a random subset of its concepts
             some = (rng.random(g.n_concepts) < 0.5)[g.indices]
             sub_text, sub_concept = text_ids[some], g.indices[some]
-            for text, concept, (rev_indptr, rev_indices) in [
-                (text_ids, g.indices, g.reverse_csr()),
-                (sub_text, sub_concept, _reverse_csr(g.n_concepts, g.n_texts, sub_text, sub_concept)),
-            ]:
-                counts = np.bincount(concept, minlength=g.n_concepts)
-                assert rev_indptr.dtype == rev_indices.dtype == np.int64
-                assert rev_indices.flags.c_contiguous
-                assert np.array_equal(rev_indptr, np.concatenate([[0], np.cumsum(counts)]))
-                assert np.array_equal(rev_indices, text[np.argsort(concept, kind="stable")])
+            cases += [
+                (g.n_concepts, text_ids, g.indices, g.reverse_csr()),
+                (g.n_concepts, sub_text, sub_concept, _reverse_csr(g.n_concepts, g.n_texts, sub_text, sub_concept)),
+            ]
+        # either side of the packed key's uint32 cut: 2**16 << 16 == 2**32
+        # sorts as uint32, 2**16 << 17 as int64
+        for R, T in [(2**16, 2**16), (2**16, 2**16 + 1)]:
+            # a few hundred cells, with the largest concept and text ids
+            cells = np.union1d(rng.integers(0, R * T, size=300), [0, R * T - 1, (R - 1) * T, T - 1])
+            text, concept = cells % T, cells // T
+            cases.append((R, text, concept, _reverse_csr(R, T, text, concept)))
+        for n_concepts, text, concept, (rev_indptr, rev_indices) in cases:
+            counts = np.bincount(concept, minlength=n_concepts)
+            assert rev_indptr.dtype == rev_indices.dtype == np.int64
+            assert rev_indices.flags.c_contiguous
+            assert np.array_equal(rev_indptr, np.concatenate([[0], np.cumsum(counts)]))
+            assert np.array_equal(rev_indices, text[np.argsort(concept, kind="stable")])
 
 
 class TestIsStoppingSet:
