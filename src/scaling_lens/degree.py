@@ -223,7 +223,11 @@ def log_gen(n, p, x):
 def binomial_gen(n, p, x, order: int = 0):
     """order-th derivative of (p*x + 1 - p)**n in log space, broadcasting over n, p and x.
 
-    Zero where the value underflows or the derivative's coefficient vanishes.
+    Zero where the log-space exponent e is below -745, where exp underflows
+    to zero, or where the derivative's coefficient vanishes; elsewhere it is
+    coeff*exp(e), subnormal values included.  The zeroed exponents enter exp
+    as 0, not as e: exp takes a slow path for results in the subnormal
+    range, and the value would be discarded anyway.
     """
     coeff = 1.0
     for k in range(order):
@@ -232,7 +236,7 @@ def binomial_gen(n, p, x, order: int = 0):
     zero = e < _LOG_UNDERFLOW
     if order:
         zero = zero | (coeff == 0.0)
-    return np.where(zero, 0.0, coeff * np.exp(np.maximum(e, _LOG_UNDERFLOW)))
+    return np.where(zero, 0.0, coeff * np.exp(np.where(zero, 0.0, e)))
 
 
 def eval_gen(model: DegreeModel, which: str, x, order: int = 0):

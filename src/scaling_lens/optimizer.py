@@ -273,13 +273,9 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     """
     c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
     xs = STALL_SAMPLE
-    texts = [int(c // r) for r in grid.tolist()]
-    past_ub = np.array([
-        eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6)
-        for r, t in zip(grid.tolist(), texts)
-    ], dtype=bool)
     r = grid.astype(np.float64)
-    t = np.array(texts, dtype=np.float64)
+    t = np.floor_divide(c, r)  # the T of _evaluate, int(C' // R)
+    past_ub = eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6)
     p, n_rho = d_t / r, r / eps - 1.0
     n_lam, col_p = (t - 1.0)[:, None], p[:, None]
     g = binomial_gen(n_lam, col_p, 1.0 - binomial_gen(n_rho[:, None], col_p, 1.0 - xs))

@@ -32,7 +32,9 @@ cap: the cut is then the cap whatever the limit, so junk-dominated models
 need a few DE steps per cut instead of hundreds.  (de_fixed_point needs
 the exact limit and runs the full orbit.)  As this cut depends on eps,
 find_threshold iterates eps <- min x/g(x) down from eps_hi and, where the
-minimum sits on the cut, solves for the crossing instead.
+minimum sits on the cut, solves for the crossing instead.  The minimum
+depends on eps only through the cut, so each solve computes it once per
+distinct cut; on clean models every pass shares the cut X_GRID_LO.
 """
 
 from __future__ import annotations
@@ -178,12 +180,26 @@ def _ratio(model, x):
         return x / model.lam(1.0 - model.rho(1.0 - x))
 
 
+def _junk_cut(model, eps: float) -> float:
+    """Lower end of the x range find_threshold minimizes x/g(x) over at eps."""
+    # the junk fixed point stays within a small factor of its seed
+    # eps*lam(0) while genuinely separated; an orbit that climbs past
+    # 4x the seed has merged with a real fixed point, so the cut must
+    # not exclude it; once 2*x reaches the cap the cut is the cap, so
+    # the orbit stops there
+    junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
+    x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
+    return max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
+
+
 def _min_above(model, cut: float, ratio):
     """(min, x_at_min, tied, on_cut) of x/g(x) over the cut and X_GRID above it.
 
-    A geometric zoom around the minimizer recovers x_star beyond grid
-    resolution.  Of separate wells within 1e-9 of the minimum the largest-x
-    one wins: the decoder coming down from x = 1 stalls there.
+    It depends on eps only through the cut, so find_threshold computes it
+    once per distinct cut.  A geometric zoom around the minimizer recovers
+    x_star beyond grid resolution.  Of separate wells within 1e-9 of the
+    minimum the largest-x one wins: the decoder coming down from x = 1
+    stalls there.
     """
     if cut >= 1.0:
         return math.inf, math.nan, False, False
@@ -227,17 +243,13 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
     if not 0.0 <= eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
     ratio = _ratio(model, X_GRID)
+    minima: dict[float, tuple] = {}
 
     def m(eps):
-        # the junk fixed point stays within a small factor of its seed
-        # eps*lam(0) while genuinely separated; an orbit that climbs past
-        # 4x the seed has merged with a real fixed point, so the cut must
-        # not exclude it; once 2*x reaches the cap the cut is the cap, so
-        # the orbit stops there
-        junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
-        x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
-        cut = max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
-        return _min_above(model, cut, ratio)
+        cut = _junk_cut(model, eps)
+        if cut not in minima:
+            minima[cut] = _min_above(model, cut, ratio)
+        return minima[cut]
 
     # m(0) > 0, so only a positive eps_lo can be degenerate
     if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:
@@ -282,11 +294,14 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
 
 
 def _solution_constants(model, eps_star: float, x_star: float):
+    """(nu_star, alpha) at the tangency; alpha is nan where scaling_alpha fails."""
     if not math.isfinite(x_star):
         return math.nan, math.nan
-    nu_star = eps_star * model.L(1.0 - model.rho(1.0 - x_star))
+    xbar = 1.0 - x_star
+    rho = model.rho(np.array([xbar, xbar * xbar]))
+    nu_star = eps_star * model.L(1.0 - rho[0])
     try:
-        alpha = scaling_alpha(model, x_star, eps_star)
+        alpha = _alpha(model, x_star, eps_star, rho)
     except (NonPositiveRadicand, ZeroDivisionError):
         alpha = math.nan
     return float(nu_star), alpha
@@ -309,18 +324,20 @@ def matching_upper_bound(model) -> float:
     return binomial_matching_bound(model.R, model.T, model.d_t, model.epsilon)
 
 
-def binomial_matching_bound(R: int, T: int, d_t: float, epsilon: float) -> float:
+def binomial_matching_bound(R, T, d_t: float, epsilon: float):
     """matching_upper_bound of the binomial ensemble (R, T, d_t, epsilon), no model built.
 
     For exponent-form generating functions the integral of (p*x + 1-p)**(n-1)
     over [0, 1] is (1 - (1-p)**n) / (n*p), evaluated in log space.
+    Broadcasts over R and T; a float for scalar input.
     """
     p = d_t / R
 
     def integral(n):
-        return -math.expm1(n * math.log1p(-p)) / (n * p)
+        return -np.expm1(n * np.log1p(-p)) / (n * p)
 
-    return integral(R / epsilon) / integral(float(T))
+    out = integral(R / epsilon) / integral(T)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def scaling_alpha(model, x_star: float, eps_star: float) -> float:
@@ -332,15 +349,21 @@ def scaling_alpha(model, x_star: float, eps_star: float) -> float:
     NonPositiveRadicand if the bracketed sum is not positive.
     """
     xbar = 1.0 - x_star
-    y = 1.0 - model.rho(xbar)
+    return _alpha(model, x_star, eps_star, model.rho(np.array([xbar, xbar * xbar])))
+
+
+def _alpha(model, x_star: float, eps_star: float, rho) -> float:
+    """scaling_alpha given rho at xbar and xbar**2, xbar = 1 - x_star.
+
+    One generating-function call per function and order, on small arrays.
+    """
+    xbar = 1.0 - x_star
+    rho_xb, rho_xb2 = rho.tolist()
+    y = 1.0 - rho_xb
     lp1 = model.l_prime_at_one()
 
-    rho_xb = model.rho(xbar)
-    rho_xb2 = model.rho(xbar * xbar)
-    drho_xb = model.rho(xbar, 1)
-    drho_xb2 = model.rho(xbar * xbar, 1)
-    lam_y = model.lam(y)
-    lam_y2 = model.lam(y * y)
+    drho_xb, drho_xb2 = model.rho(np.array([xbar, xbar * xbar]), 1).tolist()
+    lam_y, lam_y2 = model.lam(np.array([y, y * y])).tolist()
     dlam_y2 = model.lam(y * y, 1)
 
     num_text = (

@@ -1,5 +1,6 @@
 """CLI behavior: strict config parsing, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -445,6 +446,46 @@ class TestShippedConfigs:
         cli.parse_config(
             os.path.join(root, "emergence_multimodal_plateaus.txt"), "emergence"
         )
+
+
+class TestShippedOutputDigests:
+    """The data file of every analytic shipped config, byte for byte.
+
+    A change that moves a value updates the table and says why in
+    CHANGES.md.  The digests were recorded with numpy 2.4 on x86-64; a
+    platform whose exp or log1p rounds differently may move last bits.
+    (peel-sim is left out: its Monte-Carlo bytes are checked by
+    TestDeterminism and the benchmark's reference digests.)
+    """
+
+    DIGESTS = {
+        ("threshold", "threshold_rate_half.txt"):
+            "322f4cb45a409b23fe6c0cbb7878851089ceef07a7bbae1b7ae5e43efdaa61a2",
+        ("isoflop", "isoflop_desk.txt"):
+            "ae25ce7b87e4d5512c6ac65f29c646e4f44ebcf058b7a35c3f2040aea69e03e9",
+        ("frontier", "frontier_paper_scale.txt"):
+            "88d7de2baf737bc69d773f941f93c3ab00ddf19b62811d4c9236f5f31147f413",
+        ("loss", "loss_frontier_sweep.txt"):
+            "3cb5d0c292f537eb642d8cd79ccd19da6077aa1fb71c10d5d31f9561dc0b8013",
+        ("emergence", "emergence_single_level_step.txt"):
+            "ea189b858f8ad9e073c0bfc5e5de33171a4b33044b06a148f390f8ce1056c274",
+        ("emergence", "emergence_unimodal_scurve.txt"):
+            "9125655e7c308a827ee37861a340cca5aaed4530458d05264f7ce5c7bd069da7",
+        ("emergence", "emergence_multimodal_plateaus.txt"):
+            "64ce9e5413acf93fcf137a27b2ebd784ba6bcc569c37b0ab7377e81d9d03fee4",
+        ("plateaus", "emergence_multimodal_plateaus.txt"):
+            "b501cc3408df52f5b96050ed645da2ce9284c5d114e5c1b3969ad3aa53d62187",
+    }
+
+    def test_data_files_match_recorded_digests(self, tmp_path):
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        got = {}
+        for command, name in self.DIGESTS:
+            out = tmp_path / f"{command}-{name}.csv"
+            argv = [command, "--config", os.path.join(root, name), "--out", str(out)]
+            assert run_cli(argv) == 0, (command, name)
+            got[command, name] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert got == self.DIGESTS
 
 
 class TestDeterminism:

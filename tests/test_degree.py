@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scaling_lens.degree import DegreeModel, PolynomialPair, eval_gen, l_prime_at_one
+from scaling_lens.degree import (
+    DegreeModel,
+    PolynomialPair,
+    binomial_gen,
+    eval_gen,
+    l_prime_at_one,
+    log_gen,
+)
 
 
 class TestModelValidation:
@@ -66,6 +73,39 @@ class TestGeneratingFunctions:
         # exponent sum ~ -1000 < -745, must give exactly 0.0 rather than raise
         m = DegreeModel(R=10**6, T=10**6, d_t=1000.0)
         assert eval_gen(m, "lam", 0.0) == 0.0
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_underflow_band_is_exact(self, order):
+        """Exponents e from -800 to -700: exactly 0 below -745, and
+        coeff*exp(e) from -745 up, subnormal values included, bit for bit,
+        for scalar, 1-D and 2-D (broadcast) inputs."""
+        p, x = 0.5, np.array([0.0, 1e-6])
+        target = np.linspace(-800.0, -700.0, 4001)  # step 0.025, hits -745
+        n = order + target / math.log1p(-p)
+
+        def expected(n, x):
+            coeff = 1.0
+            for k in range(order):
+                coeff = coeff * ((n - k) * p)
+            e = log_gen(n - order, p, x)
+            return e, np.where(e < -745.0, 0.0, coeff * np.exp(np.maximum(e, -745.0)))
+
+        cases = [
+            (n, x[0]),
+            (n.reshape(-1, 1), x.reshape(1, -1)),
+            (n[:4000].reshape(80, 50), x[0]),
+        ]
+        for nn, xx in cases:
+            e, want = expected(nn, xx)
+            got = binomial_gen(nn, p, xx, order)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+            assert (got[e < -745.0] == 0.0).all() and (got[e >= -745.0] > 0.0).all()
+            assert ((got > 0.0) & (got < np.finfo(float).tiny)).any()
+        for nn in n[::40].tolist():
+            e, want = expected(nn, 0.0)
+            got = binomial_gen(nn, p, 0.0, order)
+            assert np.ndim(got) == 0 and got == want, (nn, float(e))
 
     def test_vector_input_round_trip(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)

@@ -24,7 +24,12 @@ from scaling_lens.optimizer import (
     _row_bounds,
 )
 from scaling_lens.peeling import mc_expected_learned
-from scaling_lens.threshold import bit_erasure_rate, find_threshold, matching_upper_bound
+from scaling_lens.threshold import (
+    binomial_matching_bound,
+    bit_erasure_rate,
+    find_threshold,
+    matching_upper_bound,
+)
 
 
 class TestBudgetSpec:
@@ -427,6 +432,74 @@ class TestRowBounds:
             optimize_budget(spec)
             assert 0 < counts[-1] <= 5, spec
         assert len(counts) == len(FRONTIER_SPECS)
+
+
+def spy_matching_bound(monkeypatch):
+    """Record the (R, T, bound) arrays of every matching-bound call of _row_bounds."""
+    seen = []
+
+    def spy(R, T, d_t, epsilon):
+        out = binomial_matching_bound(R, T, d_t, epsilon)
+        seen.append((R, T, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "binomial_matching_bound", spy)
+    return seen
+
+
+class TestArrayRowBounds:
+    """_row_bounds takes the matching bound and the texts in one array pass."""
+
+    def test_broadcast_bound_equals_scalar_calls(self, desk_specs, monkeypatch):
+        seen = spy_matching_bound(monkeypatch)
+        for spec in FRONTIER_SPECS + desk_specs + ISOFLOP_DESK_SPECS:
+            grid = coarse_grid(spec)
+            _row_bounds(grid, spec)
+            R, T, bound = seen[-1]
+            assert bound.shape == grid.shape
+            rows = [
+                binomial_matching_bound(r, t, spec.d_t, spec.epsilon)
+                for r, t in zip(grid.tolist(), T.astype(np.int64).tolist())
+            ]
+            assert all(type(b) is float for b in rows)
+            np.testing.assert_array_equal(bound, rows)
+            np.testing.assert_array_equal(R, grid)
+
+    @pytest.mark.parametrize("C", [6.0 * 720720, 6e6, 1e7])
+    def test_texts_are_the_floor_of_the_evaluated_rows(self, C, monkeypatch):
+        """T = floor(C'/R) as _evaluate takes it, also where R divides C'."""
+        spec = BudgetSpec(C=C, d_t=6.0)
+        c = spec.C_prime
+        r_lo, r_hi = _r_bounds(spec)
+        grid = np.unique(np.concatenate([
+            coarse_grid(spec),
+            [r for r in range(r_lo, min(r_hi, 20000) + 1) if c % r == 0],
+        ])).astype(np.int64)
+        exact = [r for r in grid.tolist() if c / r == int(c // r)]
+        # only an integer C' has rows where R divides it
+        assert (len(exact) >= 10) == (c == int(c))
+        seen = spy_matching_bound(monkeypatch)
+        _row_bounds(grid, spec)
+        texts = seen[-1][1]
+        assert texts.tolist() == [int(c // r) for r in grid.tolist()]
+        by_row = dict(zip(grid.tolist(), texts.tolist()))
+        assert [by_row[r] for r in exact[:5]] == [
+            optimizer._evaluate(r, spec)[2] for r in exact[:5]
+        ]
+
+    def test_frontier_solve_count_is_pinned(self, monkeypatch):
+        """The 9 frontier budgets take 191 threshold solves in all; a speedup
+        must not come from skipping solves."""
+        calls = []
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return find_threshold(model, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "find_threshold", counted)
+        for spec in FRONTIER_SPECS:
+            optimize_budget(spec)
+        assert len(calls) == 191
 
 
 class TestScalingExponents:

@@ -303,6 +303,80 @@ class TestJunkOrbitEarlyStop:
         assert half_cap <= x < limit
 
 
+class _Unshared(float):
+    """A cut equal in value to another yet never the same dict key."""
+
+    __hash__ = object.__hash__
+
+
+def spy_cuts(monkeypatch, unshared=False):
+    """Record the cut of every m(eps) and the cut of every _min_above call;
+    with unshared set, every m(eps) gets a distinct key, defeating the memo."""
+    cuts, calls = [], []
+    junk_cut, min_above = threshold._junk_cut, threshold._min_above
+
+    def cut_spy(model, eps):
+        cut = junk_cut(model, eps)
+        cuts.append(cut)
+        return _Unshared(cut) if unshared else cut
+
+    def min_spy(model, cut, ratio):
+        calls.append(float(cut))
+        return min_above(model, cut, ratio)
+
+    monkeypatch.setattr(threshold, "_junk_cut", cut_spy)
+    monkeypatch.setattr(threshold, "_min_above", min_spy)
+    return cuts, calls
+
+
+class TestMinAboveMemo:
+    """find_threshold computes the minimum of x/g(x) once per distinct cut."""
+
+    JUNK = [(206, 48), (605, 165), (5242, 1907), (65195, 15977)]
+
+    def test_clean_model_minimizes_once(self, monkeypatch):
+        cuts, calls = spy_cuts(monkeypatch)
+        sol = find_threshold(DegreeModel(R=1000, T=4500, d_t=6.0))
+        assert not sol.on_junk_cut
+        assert len(cuts) >= 2 and set(cuts) == {threshold.X_GRID_LO}
+        assert calls == [threshold.X_GRID_LO]
+
+    @pytest.mark.parametrize("R, T", JUNK)
+    def test_junk_model_minimizes_once_per_cut(self, R, T, monkeypatch):
+        cuts, calls = spy_cuts(monkeypatch)
+        sol = find_threshold(DegreeModel(R=R, T=T, d_t=6.0))
+        assert sol.on_junk_cut
+        assert len(cuts) >= 2
+        assert calls == list(dict.fromkeys(cuts))
+
+    def test_memo_changes_no_solution(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        models = [DegreeModel(R=1000, T=4500, d_t=6.0)]
+        models += [DegreeModel(R=R, T=T, d_t=6.0) for R, T in self.JUNK]
+        for _ in range(40):
+            R = int(np.exp(rng.uniform(np.log(20), np.log(2e6))))
+            d_t = float(rng.uniform(1.0, 9.0))
+            T = max(1, int(R * rng.uniform(0.5, 40.0) / d_t))
+            models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
+
+        def solve_all():
+            out = []
+            for model in models:
+                try:
+                    out.append(find_threshold(model))
+                except DegenerateThreshold as exc:
+                    out.append(repr(exc))
+            return out
+
+        cuts, calls = spy_cuts(monkeypatch)
+        shared = solve_all()
+        assert len(calls) < len(cuts)
+        monkeypatch.undo()
+        cuts, calls = spy_cuts(monkeypatch, unshared=True)
+        assert solve_all() == shared
+        assert len(calls) == len(cuts)
+
+
 class TestIterationCapLogging:
     def test_cap_hit_logs_once_with_eps_and_x(self, caplog):
         model = DegreeModel(R=206, T=48, d_t=6.0)
