@@ -223,20 +223,24 @@ def log_gen(n, p, x):
 def binomial_gen(n, p, x, order: int = 0):
     """order-th derivative of (p*x + 1 - p)**n in log space, broadcasting over n, p and x.
 
-    Zero where the log-space exponent e is below -745, where exp underflows
+    +0.0 where the log-space exponent e is below -745, where exp underflows
     to zero, or where the derivative's coefficient vanishes; elsewhere it is
-    coeff*exp(e), subnormal values included.  The zeroed exponents enter exp
-    as 0, not as e: exp takes a slow path for results in the subnormal
+    coeff*exp(e), subnormal values included.  exp and the product skip the
+    zeroed entries: exp takes a slow path for results in the subnormal
     range, and the value would be discarded anyway.
     """
     coeff = 1.0
     for k in range(order):
         coeff = coeff * ((n - k) * p)
     e = log_gen(n - order, p, x)
-    zero = e < _LOG_UNDERFLOW
+    keep = ~(e < _LOG_UNDERFLOW)  # not e >= ...: NaN must reach exp and propagate
     if order:
-        zero = zero | (coeff == 0.0)
-    return np.where(zero, 0.0, coeff * np.exp(np.where(zero, 0.0, e)))
+        keep &= coeff != 0.0
+    out = np.zeros(np.shape(keep))
+    np.exp(e, out=out, where=keep)
+    if order:
+        np.multiply(coeff, out, out=out, where=keep)
+    return out
 
 
 def eval_gen(model: DegreeModel, which: str, x, order: int = 0):

@@ -334,47 +334,36 @@ def gcc_fraction(mean_degree: float) -> float:
     return min(1.0, max(0.0, gamma))
 
 
+def _levels(h: SkillHierarchy, R: int, T: int, d_t: float):
+    """(p_rr, p_link, mean_degree, gamma) per level, bottom to top, in floats."""
+    gamma = 1.0
+    for S, eta, sigma in zip(h.S, h.eta, h.sigma):
+        p_rr = concept_pair_prob(R, T, d_t, S)
+        p_link = skill_link_prob(R, p_rr, eta, sigma, gamma)
+        c = p_link * S
+        gamma = gcc_fraction(c)
+        yield p_rr, p_link, c, gamma
+
+
 def level_recursion_detail(
     h: SkillHierarchy, R: int, T: int, d_t: float
 ) -> tuple[np.ndarray, list[LevelRow]]:
     """Per-level link probabilities and GCC fractions, bottom to top."""
-    gamma_prev = 1.0
-    gammas = np.zeros(h.L)
-    rows: list[LevelRow] = []
-    for i in range(h.L):
-        p_rr = concept_pair_prob(R, T, d_t, h.S[i])
-        p_link = skill_link_prob(R, p_rr, h.eta[i], h.sigma[i], gamma_prev)
-        c = p_link * h.S[i]
-        gamma_l = gcc_fraction(c)
-        rows.append(
-            LevelRow(
-                level=i + 1,
-                p_rr=p_rr,
-                p_link=p_link,
-                mean_degree=c,
-                gamma=gamma_l,
-            )
-        )
-        gammas[i] = gamma_l
-        gamma_prev = gamma_l
-    return gammas, rows
+    rows = [LevelRow(i + 1, *level) for i, level in enumerate(_levels(h, R, T, d_t))]
+    return np.array([row.gamma for row in rows]), rows
 
 
 def level_recursion(h: SkillHierarchy, R: int, T: int, d_t: float) -> np.ndarray:
-    return level_recursion_detail(h, R, T, d_t)[0]
+    return np.array([level[-1] for level in _levels(h, R, T, d_t)])
 
 
 def task_accuracy(gamma: np.ndarray, task: TaskSpec) -> float:
     """Accuracy lower bound sum q(l,m) gamma_l^m."""
-    g = np.asarray(gamma, dtype=np.float64)
+    g = np.asarray(gamma, dtype=np.float64).tolist()
     top = task.max_level()
-    if top > g.shape[0]:
-        raise ValueError(
-            f"task references level {top} but only {g.shape[0]} levels given"
-        )
-    acc = math.fsum(
-        q * g[l - 1] ** m for (l, m), q in task.weights.items()
-    )
+    if top > len(g):
+        raise ValueError(f"task references level {top} but only {len(g)} levels given")
+    acc = math.fsum(q * g[l - 1] ** m for (l, m), q in task.weights.items())
     return min(1.0, max(0.0, acc))
 
 

@@ -175,9 +175,11 @@ def de_bit_erasure(model, eps: float) -> float:
 
 
 def _ratio(model, x):
-    """x / g(x) with g(x) = lam(1 - rho(1 - x)), +inf where g vanishes."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return x / model.lam(1.0 - model.rho(1.0 - x))
+    """x / g(x) with g(x) = lam(1 - rho(1 - x)), +inf where g vanishes.
+
+    Callers silence the divide and overflow warnings that vanishing g raises.
+    """
+    return x / model.lam(1.0 - model.rho(1.0 - x))
 
 
 def _junk_cut(model, eps: float) -> float:
@@ -204,8 +206,13 @@ def _min_above(model, cut: float, ratio):
     if cut >= 1.0:
         return math.inf, math.nan, False, False
     start = int(np.searchsorted(X_GRID, cut, side="right"))
-    xs = np.concatenate(([cut], X_GRID[start:]))
-    rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
+    # the cut is a grid point (X_GRID_LO on every clean model); as cut < 1,
+    # start = 0 wraps to X_GRID[-1] = 1 and never matches
+    if X_GRID[start - 1] == cut:
+        xs, rs = X_GRID[start - 1 :], ratio[start - 1 :]
+    else:
+        xs = np.concatenate(([cut], X_GRID[start:]))
+        rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
     i = int(np.argmin(rs))
     near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
     gaps = np.flatnonzero(np.diff(near) > 1)
@@ -238,59 +245,66 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
 
     Raises DegenerateThreshold if a fixed point already exists at eps_lo.
     If none exists even at eps_hi the returned solution carries
-    eps_star = eps_hi with no_transition set.
+    eps_star = eps_hi with no_transition set.  Divide and overflow
+    warnings are silenced for the solve: g vanishes at low x on data-rich
+    models, where x/g(x) is +inf.
     """
     if not 0.0 <= eps_lo < eps_hi <= 1.0:
         raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
-    ratio = _ratio(model, X_GRID)
-    minima: dict[float, tuple] = {}
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = _ratio(model, X_GRID)
+        minima: dict[float, tuple] = {}
 
-    def m(eps):
-        cut = _junk_cut(model, eps)
-        if cut not in minima:
-            minima[cut] = _min_above(model, cut, ratio)
-        return minima[cut]
+        def m(eps):
+            cut = _junk_cut(model, eps)
+            if cut not in minima:
+                minima[cut] = _min_above(model, cut, ratio)
+            return minima[cut]
 
-    # m(0) > 0, so only a positive eps_lo can be degenerate
-    if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:
-        raise DegenerateThreshold(
-            f"fixed point already present at eps_lo={eps_lo}; no transition to bracket"
+        # m(0) > 0, so only a positive eps_lo can be degenerate
+        if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:
+            raise DegenerateThreshold(
+                f"fixed point already present at eps_lo={eps_lo}; no transition to bracket"
+            )
+        hi = eps_hi
+        r, x_star, tied, on_cut = m(hi)
+        if r > hi:
+            logger.debug("no fixed point up to eps_hi=%g; returning sentinel", eps_hi)
+            nu, al = _solution_constants(model, eps_hi, x_star)
+            return ThresholdSolution(
+                eps_hi, x_star, nu, al, no_transition=True, tied_maximizer=tied
+            )
+
+        # h = eps - m(eps) >= 0 at hi; the first step is the plain iteration,
+        # then secants through the last two upper ends until one lands on h < 0
+        # at lo, and Illinois false position in [lo, hi] from there
+        h_hi, prev, lo, h_lo, side = hi - r, None, None, 0.0, 0
+        for _ in range(MAX_CUT_PASSES):
+            if lo is not None:
+                eps = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+            elif prev is not None and prev[1] > h_hi:
+                eps = max(eps_lo, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
+            else:
+                eps = r
+            r, x, t, c = m(eps)
+            if r <= eps:
+                prev, hi, h_hi, x_star, tied, on_cut = (hi, h_hi), eps, eps - r, x, t, c
+                h_lo *= 0.5 if side > 0 else 1.0
+                side = 1
+            else:
+                lo, h_lo = eps, eps - r
+                h_hi *= 0.5 if side < 0 else 1.0
+                side = -1
+            if h_hi == 0.0 or (hi - lo if lo is not None else prev[0] - hi) <= 1e-12:
+                break
+        else:
+            logger.info("threshold solve stopped after %d passes at eps=%.12g", MAX_CUT_PASSES, hi)
+        if tied:
+            logger.info("tied minimizers of x/g(x) at eps=%.9g; keeping largest x", hi)
+        nu_star, alpha = _solution_constants(model, hi, x_star)
+        return ThresholdSolution(
+            hi, x_star, nu_star, alpha, tied_maximizer=tied, on_junk_cut=on_cut
         )
-    hi = eps_hi
-    r, x_star, tied, on_cut = m(hi)
-    if r > hi:
-        logger.debug("no fixed point up to eps_hi=%g; returning sentinel", eps_hi)
-        nu, al = _solution_constants(model, eps_hi, x_star)
-        return ThresholdSolution(eps_hi, x_star, nu, al, no_transition=True, tied_maximizer=tied)
-
-    # h = eps - m(eps) >= 0 at hi; the first step is the plain iteration,
-    # then secants through the last two upper ends until one lands on h < 0
-    # at lo, and Illinois false position in [lo, hi] from there
-    h_hi, prev, lo, h_lo, side = hi - r, None, None, 0.0, 0
-    for _ in range(MAX_CUT_PASSES):
-        if lo is not None:
-            eps = hi - h_hi * (hi - lo) / (h_hi - h_lo)
-        elif prev is not None and prev[1] > h_hi:
-            eps = max(eps_lo, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
-        else:
-            eps = r
-        r, x, t, c = m(eps)
-        if r <= eps:
-            prev, hi, h_hi, x_star, tied, on_cut = (hi, h_hi), eps, eps - r, x, t, c
-            h_lo *= 0.5 if side > 0 else 1.0
-            side = 1
-        else:
-            lo, h_lo = eps, eps - r
-            h_hi *= 0.5 if side < 0 else 1.0
-            side = -1
-        if h_hi == 0.0 or (hi - lo if lo is not None else prev[0] - hi) <= 1e-12:
-            break
-    else:
-        logger.info("threshold solve stopped after %d passes at eps=%.12g", MAX_CUT_PASSES, hi)
-    if tied:
-        logger.info("tied minimizers of x/g(x) at eps=%.9g; keeping largest x", hi)
-    nu_star, alpha = _solution_constants(model, hi, x_star)
-    return ThresholdSolution(hi, x_star, nu_star, alpha, tied_maximizer=tied, on_junk_cut=on_cut)
 
 
 def _solution_constants(model, eps_star: float, x_star: float):

@@ -76,19 +76,29 @@ class TestGeneratingFunctions:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_underflow_band_is_exact(self, order):
-        """Exponents e from -800 to -700: exactly 0 below -745, and
-        coeff*exp(e) from -745 up, subnormal values included, bit for bit,
-        for scalar, 1-D and 2-D (broadcast) inputs."""
+        """Exponents e from -800 to -700: exactly +0.0 below -745, and
+        coeff*exp(e) from -745 up, subnormal values included, bit for bit
+        and sign for sign against the np.where formula, for scalar, 1-D and
+        2-D (broadcast) inputs; also a negative coefficient, a vanishing one
+        and NaN input."""
         p, x = 0.5, np.array([0.0, 1e-6])
         target = np.linspace(-800.0, -700.0, 4001)  # step 0.025, hits -745
         n = order + target / math.log1p(-p)
 
-        def expected(n, x):
+        def check(n, x):
             coeff = 1.0
             for k in range(order):
                 coeff = coeff * ((n - k) * p)
             e = log_gen(n - order, p, x)
-            return e, np.where(e < -745.0, 0.0, coeff * np.exp(np.maximum(e, -745.0)))
+            zero = e < -745.0
+            if order:
+                zero = zero | (coeff == 0.0)
+            want = np.where(zero, 0.0, coeff * np.exp(np.where(zero, 0.0, e)))
+            got = binomial_gen(n, p, x, order)
+            assert np.shape(got) == np.shape(want)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            return e, got
 
         cases = [
             (n, x[0]),
@@ -96,16 +106,24 @@ class TestGeneratingFunctions:
             (n[:4000].reshape(80, 50), x[0]),
         ]
         for nn, xx in cases:
-            e, want = expected(nn, xx)
-            got = binomial_gen(nn, p, xx, order)
-            assert got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
+            e, got = check(nn, xx)
             assert (got[e < -745.0] == 0.0).all() and (got[e >= -745.0] > 0.0).all()
             assert ((got > 0.0) & (got < np.finfo(float).tiny)).any()
         for nn in n[::40].tolist():
-            e, want = expected(nn, 0.0)
-            got = binomial_gen(nn, p, 0.0, order)
-            assert np.ndim(got) == 0 and got == want, (nn, float(e))
+            e, got = check(nn, 0.0)
+            assert np.ndim(got) == 0, (nn, float(e))
+        if order == 2:
+            # n = 0.5 gives coeff < 0, and e = -1.5*log1p(p*(x - 1)) crosses
+            # the band at x > 1; the zeroed entries stay +0.0, while
+            # coeff*exp(e) is negative or, near -745, underflows to -0.0
+            e, got = check(0.5, 1.0 + np.expm1(-target / 1.5) / p)
+            assert (e < -745.0).any() and not np.signbit(got[e < -745.0]).any()
+            assert np.signbit(got[e >= -745.0]).all() and (got < 0.0).any()
+        if order:
+            _, got = check(0.0, x)  # coeff = 0
+            assert (got == 0.0).all()
+        _, got = check(n[::500], np.nan)
+        assert np.isnan(got).all()
 
     def test_vector_input_round_trip(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)

@@ -252,6 +252,36 @@ class TestLevelRecursion:
             assert row.gamma == gammas[i]
             np.testing.assert_allclose(row.mean_degree, row.p_link * 50)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # the first frontier_paper_scale budget: gamma falls to 0 at level 26
+            BudgetSpec(C=1e21, varsigma=2e5, tau=8e5, d_t=6.0),
+            # R* = 40: the upper thresholds exceed binom(R, 2)
+            BudgetSpec(C=6e4, d_t=6.0),
+        ],
+        ids=["frontier", "degenerate_bound"],
+    )
+    def test_recursion_and_detail_agree_bitwise(self, spec):
+        opt = optimize_budget(spec)
+        h = SkillHierarchy.exponential_thresholds(100, 1000)
+
+        def run(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn(h, opt.R_star, opt.T_star, spec.d_t)
+            return out, [(w.category, str(w.message), w.lineno) for w in caught]
+
+        gammas, warned = run(level_recursion)
+        (detail, rows), detail_warned = run(level_recursion_detail)
+        assert gammas.tobytes() == detail.tobytes()
+        assert gammas.tobytes() == np.array([row.gamma for row in rows]).tobytes()
+        assert warned == detail_warned
+        if spec.C == 1e21:
+            assert gammas[0] == 1.0 and gammas[-1] == 0.0
+        else:
+            assert warned and all(c is DegenerateBound for c, _, _ in warned)
+
     def test_hierarchy_validation(self):
         with pytest.raises(ValueError):
             SkillHierarchy(S=(10, 10), eta=(1.0,), sigma=(0.0, 1.0))
@@ -280,6 +310,21 @@ class TestTaskAccuracy:
         task = TaskSpec.homogeneous(level=3, m=1)
         with pytest.raises(ValueError):
             task_accuracy(np.ones(2), task)
+
+    def test_matches_numpy_scalar_sum_bitwise(self):
+        """The shipped step, scurve and plateaus mixtures, summed over numpy
+        scalars gamma_l**m, give the same bits as task_accuracy."""
+        arity = {m: 1.0 / 6.0 for m in range(2, 8)}
+        tasks = [
+            TaskSpec.homogeneous(level=50, m=5),
+            task_mixture_binomial(100, 0.5).with_arity(arity),
+            task_mixture_binomial(100, (0.2, 0.6, 0.95), (0.4, 0.4, 0.2)).with_arity(arity),
+        ]
+        rng = np.random.default_rng(5)
+        for g in [rng.uniform(0.0, 1.0, 100), 1.0 - rng.uniform(0.0, 1e-3, 100)]:
+            for task in tasks:
+                want = math.fsum(q * g[l - 1] ** m for (l, m), q in task.weights.items())
+                assert task_accuracy(g, task) == min(1.0, max(0.0, want))
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=50)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -375,6 +376,75 @@ class TestMinAboveMemo:
         cuts, calls = spy_cuts(monkeypatch, unshared=True)
         assert solve_all() == shared
         assert len(calls) == len(cuts)
+
+
+# the C = 1e21 optimum of configs/frontier_paper_scale.txt
+FRONTIER_R, FRONTIER_T = 14545, 71616
+GRID_MODELS = {
+    "exact_log": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0),
+    "poisson_limit": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0, eval_mode="poisson_limit"),
+    "pair_36": PAIR_36,
+}
+
+
+class TestOnGridCut:
+    """_min_above reuses the grid's x/g(x) when the cut is a grid point.
+
+    That rests on x/g(x) being elementwise: one grid point alone gives the
+    same bits as the same point inside the whole grid.
+    """
+
+    @pytest.mark.parametrize("name", GRID_MODELS)
+    def test_one_point_ratio_is_the_grid_ratio(self, name):
+        model = GRID_MODELS[name]
+        ratio = threshold._ratio(model, threshold.X_GRID)
+        for k in (0, 1, 1023, 2047):
+            one = threshold._ratio(model, threshold.X_GRID[k : k + 1])
+            assert one.tobytes() == ratio[k : k + 1].tobytes(), k
+
+    @pytest.mark.parametrize("name", GRID_MODELS)
+    def test_grid_cut_matches_the_prepended_cut(self, name, monkeypatch):
+        model = GRID_MODELS[name]
+        ratio = threshold._ratio(model, threshold.X_GRID)
+        assert threshold.X_GRID[0] == threshold.X_GRID_LO
+        got = threshold._min_above(model, threshold.X_GRID_LO, ratio)
+        # without its first point the grid does not hold the cut, so
+        # _min_above prepends the cut with its own 1-point ratio
+        monkeypatch.setattr(threshold, "X_GRID", threshold.X_GRID[1:])
+        assert got == threshold._min_above(model, threshold.X_GRID_LO, ratio[1:])
+
+
+class TestErrorState:
+    """find_threshold silences divide and overflow warnings only while it
+    solves: numpy's error state is the caller's again afterwards."""
+
+    CASES = {
+        "clean": (DegreeModel(R=1000, T=4500, d_t=6.0), {}, None),
+        "junk_cut": (DegreeModel(R=206, T=48, d_t=6.0), {}, None),
+        "no_transition": (DegreeModel(R=1000, T=800, d_t=0.9), {}, None),
+        # lam(0) underflows to 0, so x/g(x) divides by zero at low x
+        "data_rich": (DegreeModel(R=100, T=20000, d_t=6.0), {}, None),
+        "degenerate": (PAIR_36, {"eps_lo": 0.6, "eps_hi": 0.9}, DegenerateThreshold),
+        "bad_bracket": (PAIR_36, {"eps_lo": 0.5, "eps_hi": 0.5}, ValueError),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_error_state_is_restored_without_warnings(self, name):
+        model, kwargs, raises = self.CASES[name]
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if raises is None:
+                find_threshold(model, **kwargs)
+            else:
+                with pytest.raises(raises):
+                    find_threshold(model, **kwargs)
+        assert np.geterr() == before
+
+    def test_data_rich_grid_divides_by_zero(self):
+        model = self.CASES["data_rich"][0]
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            threshold._ratio(model, threshold.X_GRID)
 
 
 class TestIterationCapLogging:
