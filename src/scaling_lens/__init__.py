@@ -13,7 +13,7 @@ cli        config-driven experiment runner
 
 __version__ = "0.1.0"
 
-from .degree import DegreeModel, PolynomialPair, eval_gen, l_prime_at_one
+from .degree import DegreeModel, PolynomialPair
 from .threshold import (
     DegenerateThreshold,
     NonPositiveRadicand,

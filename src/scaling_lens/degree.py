@@ -32,15 +32,11 @@ __all__ = [
     "DegreeModel",
     "PolynomialPair",
     "binomial_gen",
-    "eval_gen",
-    "l_prime_at_one",
     "log_gen",
 ]
 
 # exp() underflows to subnormal/zero around -745; below this the value is 0
 _LOG_UNDERFLOW = -745.0
-
-_EXPONENTS = {"L": "T", "lam": "T-1", "P": "R", "rho": "R/eps-1"}
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,9 @@ class DegreeModel:
             return float(self.R)
         if which == "rho":
             return self.R / self.epsilon - 1.0
-        raise ValueError(f"unknown generating function {which!r}; expected one of {sorted(_EXPONENTS)}")
+        raise ValueError(
+            f"unknown generating function {which!r}; expected one of ['L', 'P', 'lam', 'rho']"
+        )
 
     def gen(self, which: str, x, order: int = 0):
         """Evaluate a generating function or one of its first two derivatives."""
@@ -241,13 +239,3 @@ def binomial_gen(n, p, x, order: int = 0):
     if order:
         np.multiply(coeff, out, out=out, where=keep)
     return out
-
-
-def eval_gen(model: DegreeModel, which: str, x, order: int = 0):
-    """Evaluate one of the model's generating functions (see module docstring)."""
-    return model.gen(which, x, order)
-
-
-def l_prime_at_one(model) -> float:
-    """Mean concept degree L'(1), exact (no generating-function roundoff)."""
-    return model.l_prime_at_one()

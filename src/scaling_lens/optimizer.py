@@ -10,24 +10,21 @@ R * (1 - P_b/epsilon), with P_b the post-peeling erasure rate that
 threshold.bit_erasure_rate gives.
 
 The optimizer's scan rules most rows out without a threshold solve, by
-a closed-form bound on each row's objective.  The objective is clamped
-to [0, R], so R bounds it everywhere.  On the DE branch the rate is at
-least the DE rate, and the DE orbit from x = 1 stalls above every x
-with f(x) >= x (Richardson & Urbanke, Modern Coding Theory, 2008): with
-x_s the largest such x in a 64-point sample of the solver's x grid, the
-objective is at most R*(1 - L(1 - rho(1 - x_s))), and at x_s = 0 it is
-R*(1 - L(0)), the mass of concepts no text covers.  A row is known to
-be on the DE branch without a solve in two cases: eps exceeds the
-edge-matching upper bound on eps*, or a sampled x above every junk cut
-has x/g(x) below eps by more than the solver's tie window, so that
-every m(e) of find_threshold lies below eps and eps* < eps.  The one
-case the argument leaves to measurement is a find_threshold call that
-stops at MAX_CUT_PASSES; none did in sweeps of over 100k rows.  Rows
-are solved in descending bound order until the bound falls below the
-best value found, which returns the full scan's argmax; near the
-optimum the stall bound is tight, so one or two rows are solved per
-frontier budget.  isoflop_curve returns every point and so evaluates
-the whole grid.
+a closed-form bound on each row's objective.  The rate is never below
+the DE rate, and the DE orbit from x = 1 stalls above every x with
+f(x) >= x (Richardson & Urbanke, Modern Coding Theory, 2008): with x_s
+the largest such x in a 64-point sample of the solver's x grid, every
+row's objective is at most R*(1 - L(1 - rho(1 - x_s))), and at x_s = 0
+it is R*(1 - L(0)), the mass of concepts no text covers.  Up to
+threshold the bound rests on the sample lying on the solver's grid,
+which puts every sampled x with f(x) >= x on the trivial branch or
+below it.  The one case the argument leaves to measurement is a
+find_threshold call that stops at MAX_CUT_PASSES; none did in sweeps
+of over 100k rows.  Rows are solved in descending bound order until the
+bound falls below the best value found, which returns the full scan's
+argmax; near the optimum the stall bound is tight, so one or two rows
+are solved per frontier budget.  isoflop_curve returns every point and
+so evaluates the whole grid.
 """
 
 from __future__ import annotations
@@ -39,15 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import DegreeModel, binomial_gen, log_gen
-from .threshold import (
-    TIE_WINDOW,
-    X_GRID,
-    X_GRID_LO,
-    ThresholdSolution,
-    binomial_matching_bound,
-    bit_erasure_rate,
-    find_threshold,
-)
+from .threshold import X_GRID, ThresholdSolution, bit_erasure_rate, find_threshold
 
 __all__ = [
     "BudgetSpec",
@@ -255,39 +244,32 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
 def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
-    On the DE branch of bit_erasure_rate the rate is at least the DE rate
-    eps*L(1 - rho(1 - x_inf)), x_inf the end of the DE orbit from
-    x = 1.  That orbit never falls below an x with f(x) >= x, i.e. with
-    x/g(x) <= eps, so with x_s the largest such x of STALL_SAMPLE (0 if
-    none) the objective is at most R*(1 - L(1 - rho(1 - x_s))); at
-    x_s = 0 that is R*(1 - L(0)), the mass of concepts no text covers.  A
-    row is on the DE branch if eps exceeds the matching upper bound on
-    eps*, or if a sampled x above the eps = 1 junk cap has x/g(x) below
-    eps by more than the solver's tie window: the sample is part of the
-    solver's own X_GRID, above every cut, so every m(e) of find_threshold
-    is below eps and eps* < eps.  Other rows keep the bound R, as the
-    objective is clamped to [0, R].  The relative slacks 1e-6 on eps and
-    on the matching bound and 1e-9 on the cap and on the product absorb
-    roundoff.  The argument fails only for a solve that
-    stops at MAX_CUT_PASSES, which never happened in the bound sweeps.
+    bit_erasure_rate is at least the DE rate eps*L(1 - rho(1 - x_inf)),
+    x_inf the end of the DE orbit from x = 1.  That orbit never falls
+    below an x with f(x) >= x, i.e. with x/g(x) <= eps, so with x_s the
+    largest such x of STALL_SAMPLE (0 if none) the objective is at most
+    R*(1 - L(1 - rho(1 - x_s))); at x_s = 0 that is R*(1 - L(0)), the mass
+    of concepts no text covers.  Up to threshold the rate takes x_inf on
+    the trivial branch, reached from x = 0, so there the bound needs x_s
+    at or below that branch.  It rests on the sample lying on the
+    solver's X_GRID: find_threshold minimizes x/g(x) over that grid above
+    the junk cut, so up to threshold no sampled x above the cut has
+    x/g(x) below eps, and below the cut the trivial branch is the only
+    fixed point, as the cut itself assumes.  The relative slacks 1e-6 on
+    eps and 1e-9 on the product absorb roundoff.  The argument fails only
+    for a solve that stops at MAX_CUT_PASSES, which never happened in the
+    bound sweeps.
     """
     c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
     xs = STALL_SAMPLE
     r = grid.astype(np.float64)
     t = np.floor_divide(c, r)  # the T of _evaluate, int(C' // R)
-    past_ub = eps > binomial_matching_bound(r, t, d_t, eps) * (1.0 + 1e-6)
     p, n_rho = d_t / r, r / eps - 1.0
     n_lam, col_p = (t - 1.0)[:, None], p[:, None]
     g = binomial_gen(n_lam, col_p, 1.0 - binomial_gen(n_rho[:, None], col_p, 1.0 - xs))
-    with np.errstate(divide="ignore", over="ignore"):
-        ratio = xs / g
-    level = eps * (1.0 - 1e-6)
-    cap = (4.0 * binomial_gen(n_lam, col_p, 0.0) + X_GRID_LO) * (1.0 + 1e-9)
-    below = (ratio <= level - 2.0 * TIE_WINDOW) & (xs > cap)
-    x_s = np.where(ratio <= level, xs, 0.0).max(axis=1)
+    x_s = np.where(xs <= eps * (1.0 - 1e-6) * g, xs, 0.0).max(axis=1)  # x/g(x) <= eps
     y = 1.0 - binomial_gen(n_rho, p, 1.0 - x_s)
-    learned = -r * np.expm1(log_gen(t, p, y)) * (1.0 + 1e-9)
-    return np.where(past_ub | below.any(axis=1), learned, r)
+    return -r * np.expm1(log_gen(t, p, y)) * (1.0 + 1e-9)
 
 
 def _bounded_argmax(
@@ -320,14 +302,11 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     golden-section refinement on log R around the best grid point;
     evaluation always happens at integer (R, T).  The scan solves rows in
     descending order of _row_bounds and stops once the bound falls below
-    the best value so far.  The bound is R, as the objective is clamped
-    to [0, R], except on rows known to be on the DE branch of
-    bit_erasure_rate (eps past the matching upper bound on eps*, or a
-    sampled x/g(x) below eps by more than the tie window): there it is
-    R*(1 - L(1 - rho(1 - x_s))), x_s the largest sampled x where the DE
-    orbit from x = 1 must stall.  It holds unless a threshold solve
-    stops at MAX_CUT_PASSES.  The scan picks the same point as a full
-    scan, the smallest R among ties.
+    the best value so far.  The bound is R*(1 - L(1 - rho(1 - x_s))),
+    x_s the largest sampled x where the DE orbit from x = 1 must stall,
+    as bit_erasure_rate is never below the DE rate.  It holds unless a
+    threshold solve stops at MAX_CUT_PASSES.  The scan picks the same
+    point as a full scan, the smallest R among ties.
     Budgets with at most EXHAUSTIVE_LIMIT feasible R scan every integer R
     and skip the refinement.  The scan and the refinement share one
     memoized objective, so the refinement reuses the scan's solves.

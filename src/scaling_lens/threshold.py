@@ -57,7 +57,6 @@ __all__ = [
     "de_bit_erasure",
     "find_threshold",
     "matching_upper_bound",
-    "binomial_matching_bound",
     "scaling_alpha",
     "bit_erasure_rate",
     "prob_concept_unlearned",
@@ -324,8 +323,10 @@ def _solution_constants(model, eps_star: float, x_star: float):
 def matching_upper_bound(model) -> float:
     """Threshold upper bound from edge matching: integral of rho over integral of lam.
 
-    In poisson_limit mode each function is exp(-d*(1 - x)) with d = n*p,
-    whose integral over [0, 1] is (1 - exp(-d))/d.
+    A binomial function (p*x + 1-p)**(n-1) integrates over [0, 1] to
+    (1 - (1-p)**n)/(n*p), evaluated in log space.  In poisson_limit mode
+    each function is exp(-d*(1 - x)) with d = n*p, whose integral is
+    (1 - exp(-d))/d.
     """
     if isinstance(model, PolynomialPair):
         return model.rho_integral() / model.lam_integral()
@@ -335,23 +336,12 @@ def matching_upper_bound(model) -> float:
             return -math.expm1(-d) / d if d > 0.0 else 1.0
 
         return integral("rho") / integral("lam")
-    return binomial_matching_bound(model.R, model.T, model.d_t, model.epsilon)
-
-
-def binomial_matching_bound(R, T, d_t: float, epsilon: float):
-    """matching_upper_bound of the binomial ensemble (R, T, d_t, epsilon), no model built.
-
-    For exponent-form generating functions the integral of (p*x + 1-p)**(n-1)
-    over [0, 1] is (1 - (1-p)**n) / (n*p), evaluated in log space.
-    Broadcasts over R and T; a float for scalar input.
-    """
-    p = d_t / R
+    p = model.p
 
     def integral(n):
         return -np.expm1(n * np.log1p(-p)) / (n * p)
 
-    out = integral(R / epsilon) / integral(T)
-    return float(out) if np.ndim(out) == 0 else out
+    return float(integral(model.R / model.epsilon) / integral(model.T))
 
 
 def scaling_alpha(model, x_star: float, eps_star: float) -> float:
@@ -401,30 +391,31 @@ def _alpha(model, x_star: float, eps_star: float, rho) -> float:
 def bit_erasure_rate(model: DegreeModel, sol: ThresholdSolution) -> float:
     """Post-peeling bit erasure rate at the model's operating erasure fraction.
 
-    Up to the threshold (eps <= eps_star) the rate is the finite-size
-    waterfall law nu_star*Q(sqrt(R/eps)*(eps_star - eps)/alpha), whose sqrt
-    scale is the parent-graph size R/eps; deep below threshold its Q factor
-    underflows to 0 on its own.  Strictly above threshold the law
-    saturates at nu_star while the true rate keeps growing along the
-    density-evolution fixed point, so there the rate is the max of the law
-    and the DE rate.  With no transition there is no law (0), and the DE
-    rate covers both regimes: data rich (DE -> 0, every concept learnable)
-    and subcritical (DE stalls high).  On the junk cut, which has no
-    waterfall, the rate is the DE one.  Monte-Carlo runs back each branch;
-    with the law alone the optimizer's objective overshoots the failure
-    regime by an order of magnitude.
+    One rule: the rate is the finite-size waterfall law
+    nu_star*Q(sqrt(R/eps)*(eps_star - eps)/alpha), whose sqrt scale is the
+    parent-graph size R/eps, or the density-evolution rate
+    eps*L(1 - rho(1 - x_inf)) if that is larger, x_inf the end of the DE
+    orbit from x = 1.  So the rate is never below eps*L(0), the erased
+    concepts that no text covers.  With no transition, and on the junk
+    cut, which has no waterfall, there is no law and the rate is the DE
+    one.  Below threshold the orbit from x = 1 ends on the trivial branch,
+    so up to threshold x_inf is taken there, from the orbit from x = 0,
+    which skips the slow pass near the tangency; deep below threshold the
+    law's Q factor underflows and the DE rate is the rate.  Strictly
+    above threshold the law saturates at nu_star while the DE rate keeps
+    growing.  Monte Carlo backs each branch; with the law alone the
+    optimizer's objective overshoots the failure regime by an order of
+    magnitude, and below threshold it learns concepts that no text covers.
     """
     eps = model.epsilon
-    if sol.on_junk_cut:
+    if sol.on_junk_cut or sol.no_transition:
         return de_bit_erasure(model, eps)
-    if sol.no_transition:
-        law = 0.0
-    else:
-        z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
-        law = sol.nu_star * qfunc(z)
-        if eps <= sol.eps_star:
-            return law
-    return max(law, de_bit_erasure(model, eps))
+    z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
+    law = sol.nu_star * qfunc(z)
+    if eps > sol.eps_star:
+        return max(law, de_bit_erasure(model, eps))
+    x_lo = _trivial_branch(model, eps)
+    return max(law, eps * model.L(1.0 - model.rho(1.0 - x_lo)))
 
 
 def prob_concept_unlearned(model: DegreeModel, sol: ThresholdSolution) -> float:

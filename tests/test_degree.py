@@ -10,8 +10,6 @@ from scaling_lens.degree import (
     DegreeModel,
     PolynomialPair,
     binomial_gen,
-    eval_gen,
-    l_prime_at_one,
     log_gen,
 )
 
@@ -53,26 +51,26 @@ class TestGeneratingFunctions:
         ]
         for m in models:
             for which in ("L", "lam", "P", "rho"):
-                np.testing.assert_allclose(eval_gen(m, which, 1.0), 1.0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(m.gen(which, 1.0), 1.0, rtol=0, atol=1e-12)
 
     def test_edge_concept_gen_small_model(self):
         # T=2, p=0.5: lam(x) = (0.5x + 0.5)^1, so lam(0) = 0.5 exactly
         m = DegreeModel(R=12, T=2, d_t=6.0)
-        assert eval_gen(m, "lam", 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert m.gen("lam", 0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_huge_exponent_evaluates_in_log_space(self):
         """T = 1e9 with p = 6e-9 gives lam(0) near exp(-6) without overflow."""
         m = DegreeModel(R=10**9, T=10**9, d_t=6.0)
-        got = eval_gen(m, "lam", 0.0)
+        got = m.gen("lam", 0.0)
         np.testing.assert_allclose(got, math.exp(-6.0), rtol=1e-6)
         # exact-log and poisson-limit agree closely at this scale
         mp = DegreeModel(R=10**9, T=10**9, d_t=6.0, eval_mode="poisson_limit")
-        np.testing.assert_allclose(got, eval_gen(mp, "lam", 0.0), rtol=3e-8)
+        np.testing.assert_allclose(got, mp.gen("lam", 0.0), rtol=3e-8)
 
     def test_deep_underflow_floors_to_zero(self):
         # exponent sum ~ -1000 < -745, must give exactly 0.0 rather than raise
         m = DegreeModel(R=10**6, T=10**6, d_t=1000.0)
-        assert eval_gen(m, "lam", 0.0) == 0.0
+        assert m.gen("lam", 0.0) == 0.0
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_underflow_band_is_exact(self, order):
@@ -128,28 +126,28 @@ class TestGeneratingFunctions:
     def test_vector_input_round_trip(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)
         xs = np.linspace(0.0, 1.0, 7)
-        vec = eval_gen(m, "lam", xs)
-        scalars = np.array([eval_gen(m, "lam", float(x)) for x in xs])
+        vec = m.gen("lam", xs)
+        scalars = np.array([m.gen("lam", float(x)) for x in xs])
         np.testing.assert_allclose(vec, scalars, rtol=0, atol=0)
 
     def test_unknown_function_name_rejected(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)
         with pytest.raises(ValueError):
-            eval_gen(m, "Q", 0.5)
+            m.gen("Q", 0.5)
         with pytest.raises(ValueError):
-            eval_gen(m, "lam", 0.5, order=3)
+            m.gen("lam", 0.5, order=3)
 
 
 class TestMeanDegree:
     def test_exact_values(self):
         """L'(1) = T*p, computed without generating-function roundoff."""
-        assert l_prime_at_one(DegreeModel(R=100, T=100, d_t=6.0)) == 6.0
-        assert l_prime_at_one(DegreeModel(R=10, T=10, d_t=1.0)) == 1.0
+        assert DegreeModel(R=100, T=100, d_t=6.0).l_prime_at_one() == 6.0
+        assert DegreeModel(R=10, T=10, d_t=1.0).l_prime_at_one() == 1.0
 
     def test_matches_first_derivative_at_one(self):
         m = DegreeModel(R=10**4, T=10**4, d_t=6.0)
         np.testing.assert_allclose(
-            l_prime_at_one(m), eval_gen(m, "L", 1.0, order=1), rtol=1e-9
+            m.l_prime_at_one(), m.gen("L", 1.0, order=1), rtol=1e-9
         )
 
 
@@ -159,8 +157,8 @@ class TestEdgeNodeConsistency:
         xs = np.linspace(0.0, 1.0, 21)
         for T in (2, 17, 400, 10**4):
             m = DegreeModel(R=2 * T, T=T, d_t=5.0) if T > 2 else DegreeModel(R=10, T=T, d_t=2.0)
-            ratio = eval_gen(m, "L", xs, order=1) / l_prime_at_one(m)
-            np.testing.assert_allclose(eval_gen(m, "lam", xs), ratio, rtol=1e-9)
+            ratio = m.gen("L", xs, order=1) / m.l_prime_at_one()
+            np.testing.assert_allclose(m.gen("lam", xs), ratio, rtol=1e-9)
 
     def test_mode_agreement_large_sparse(self):
         """exact_log and poisson_limit agree to 1e-6 once exponents are >= 1e6
@@ -176,14 +174,14 @@ class TestEdgeNodeConsistency:
             mp = DegreeModel(R=R, T=T, d_t=d_t, eval_mode="poisson_limit")
             for which in ("L", "lam", "P", "rho"):
                 np.testing.assert_allclose(
-                    eval_gen(me, which, xs), eval_gen(mp, which, xs), atol=1e-6, rtol=0
+                    me.gen(which, xs), mp.gen(which, xs), atol=1e-6, rtol=0
                 )
 
     def test_monotone_nondecreasing_in_x(self):
         xs = np.linspace(0.0, 1.0, 101)
         m = DegreeModel(R=300, T=500, d_t=7.0, epsilon=0.4)
         for which in ("L", "lam", "P", "rho"):
-            vals = eval_gen(m, which, xs)
+            vals = m.gen(which, xs)
             assert np.all(np.diff(vals) >= -1e-15)
 
 
@@ -199,7 +197,7 @@ class TestProperties:
         """Generating functions of a probability distribution map [0,1] into [0,1]."""
         m = DegreeModel(R=R, T=T, d_t=d_frac * R)
         for which in ("L", "lam", "P", "rho"):
-            v = eval_gen(m, which, x)
+            v = m.gen(which, x)
             assert -1e-12 <= v <= 1.0 + 1e-12
 
     @given(
@@ -212,7 +210,7 @@ class TestProperties:
     def test_monotonicity_pairwise(self, T, d_frac, x1, x2):
         m = DegreeModel(R=2 * T, T=T, d_t=d_frac * 2 * T)
         lo, hi = min(x1, x2), max(x1, x2)
-        assert eval_gen(m, "lam", lo) <= eval_gen(m, "lam", hi) + 1e-12
+        assert m.gen("lam", lo) <= m.gen("lam", hi) + 1e-12
 
 
 class TestPolynomialPair:

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from scaling_lens.degree import DegreeModel, PolynomialPair, eval_gen
-from scaling_lens.optimizer import BudgetSpec, isoflop_curve
+from scaling_lens.degree import DegreeModel, PolynomialPair
+from scaling_lens.optimizer import BudgetSpec, _geometric_ints, _r_bounds, isoflop_curve
 from scaling_lens.peeling import mc_parent_graph_erasure
 from scaling_lens import threshold
 from scaling_lens.threshold import (
@@ -113,12 +113,12 @@ class TestDeMap:
         """f(0, eps) collapses to eps * lam(0)."""
         m = DegreeModel(R=40, T=60, d_t=5.0, epsilon=0.5)
         for eps in (0.1, 0.5, 1.0):
-            expected = eps * eval_gen(m, "lam", 0.0)
+            expected = eps * m.gen("lam", 0.0)
             np.testing.assert_allclose(de_map(m, 0.0, eps), expected, rtol=1e-14)
 
     def test_at_x_one_full_erasure(self):
         m = DegreeModel(R=40, T=60, d_t=5.0, epsilon=0.5)
-        expected = eval_gen(m, "lam", 1.0 - eval_gen(m, "rho", 0.0))
+        expected = m.gen("lam", 1.0 - m.gen("rho", 0.0))
         np.testing.assert_allclose(de_map(m, 1.0, 1.0), expected, rtol=1e-14)
 
     def test_matches_high_precision_reference(self):
@@ -480,8 +480,8 @@ class TestMatchingUpperBound:
             DegreeModel(R=100, T=200, d_t=4.0, epsilon=0.5, eval_mode="poisson_limit"),
             DegreeModel(R=10, T=12, d_t=6.0, epsilon=0.5, eval_mode="poisson_limit"),
         ):
-            num, _ = integrate.quad(lambda x: eval_gen(m, "rho", x), 0.0, 1.0, epsabs=1e-13)
-            den, _ = integrate.quad(lambda x: eval_gen(m, "lam", x), 0.0, 1.0, epsabs=1e-13)
+            num, _ = integrate.quad(lambda x: m.gen("rho", x), 0.0, 1.0, epsabs=1e-13)
+            den, _ = integrate.quad(lambda x: m.gen("lam", x), 0.0, 1.0, epsabs=1e-13)
             np.testing.assert_allclose(matching_upper_bound(m), num / den, rtol=1e-9)
 
     def test_polynomial_pair_closed_form(self):
@@ -546,14 +546,14 @@ class TestScalingAlpha:
         h = 1e-6
         for which in ("lam", "rho"):
             for x in (0.2, 0.45, 0.7, 0.9):
-                fd1 = (eval_gen(m, which, x + h) - eval_gen(m, which, x - h)) / (2 * h)
-                np.testing.assert_allclose(eval_gen(m, which, x, order=1), fd1, rtol=1e-4)
+                fd1 = (m.gen(which, x + h) - m.gen(which, x - h)) / (2 * h)
+                np.testing.assert_allclose(m.gen(which, x, order=1), fd1, rtol=1e-4)
                 fd2 = (
-                    eval_gen(m, which, x + h)
-                    - 2 * eval_gen(m, which, x)
-                    + eval_gen(m, which, x - h)
+                    m.gen(which, x + h)
+                    - 2 * m.gen(which, x)
+                    + m.gen(which, x - h)
                 ) / h**2
-                np.testing.assert_allclose(eval_gen(m, which, x, order=2), fd2, rtol=1e-4)
+                np.testing.assert_allclose(m.gen(which, x, order=2), fd2, rtol=1e-4)
 
     def test_regular_pair_matches_high_precision_reference(self):
         sol = find_threshold(PAIR_36)
@@ -600,7 +600,8 @@ class TestBitErasureRate:
         assert bit_erasure_rate(m, sol) == pytest.approx(0.4, rel=1e-12)
 
     def test_deep_success_underflows_to_zero(self):
-        m = DegreeModel(R=10**6, T=10**6, d_t=6.0, epsilon=0.1)
+        # L(0) = (1 - p)**T underflows, so the DE floor is 0 and the law rules
+        m = DegreeModel(R=10**6, T=2 * 10**8, d_t=6.0, epsilon=0.1)
         sol = ThresholdSolution(eps_star=0.9, x_star=0.3, nu_star=0.5, alpha=0.5)
         assert bit_erasure_rate(m, sol) < 1e-300
 
@@ -648,6 +649,37 @@ class TestBitErasureRate:
         assert abs(bit_erasure_rate(model, sol) - mc.mean) <= 3.0 * mc.stderr
 
 
+class TestDEFloor:
+    """Up to threshold bit_erasure_rate floors the law at the DE rate taken
+    on the trivial branch, x_lo from the orbit from x = 0.  Below threshold
+    the DE orbit from x = 1 ends there too, so the floor is the full DE
+    rate, and a capped orbit from 0, which would sit below x_lo and make
+    the floor low, never occurs."""
+
+    SPECS = [
+        BudgetSpec(C=float(c), varsigma=2e5, tau=8e5) for c in (1e21, 1e23, 1e25)
+    ] + [BudgetSpec(C=c, d_t=d_t) for d_t in (6.0, 3.0, 1.5) for c in np.geomspace(6e4, 6e7, 4)]
+
+    def test_floor_is_the_de_rate_below_threshold(self):
+        rows = floored = 0
+        for spec in self.SPECS:
+            eps = spec.epsilon
+            for r in _geometric_ints(*_r_bounds(spec), 64).tolist():
+                m = DegreeModel(R=r, T=int(spec.C_prime // r), d_t=spec.d_t, epsilon=eps)
+                sol = find_threshold(m)
+                if sol.on_junk_cut or sol.no_transition or eps > sol.eps_star:
+                    continue
+                x_lo = _trivial_branch(m, eps)
+                assert x_lo == _trivial_branch(m, eps, max_iter=10**6), (spec, r)
+                floor = eps * m.L(1.0 - m.rho(1.0 - x_lo))
+                de = threshold.de_bit_erasure(m, eps)
+                assert floor == pytest.approx(de, rel=1e-8, abs=0.0), (spec, r)
+                assert bit_erasure_rate(m, sol) >= floor
+                rows += 1
+                floored += floor > 0.0
+        assert rows >= 600 and floored >= 400
+
+
 class TestJunkCutErasure:
     """On the junk cut the erasure rate is density evolution's, not the law's.
 
@@ -674,7 +706,8 @@ class TestJunkCutErasure:
 
 class TestProbConceptUnlearned:
     def test_zero_rate_gives_zero(self):
-        m = DegreeModel(R=100, T=300, d_t=4.0, epsilon=0.5)
+        # L(0) = (1 - p)**T underflows, so the DE floor is 0 as well
+        m = DegreeModel(R=100, T=20000, d_t=4.0, epsilon=0.5)
         sol = ThresholdSolution(eps_star=1.0, x_star=0.2, nu_star=0.0, alpha=0.5)
         assert prob_concept_unlearned(m, sol) == 0.0
 
@@ -694,14 +727,18 @@ class TestProbConceptUnlearned:
 class TestQExpressionShape:
     def test_monotone_in_size_on_each_side(self):
         """With the solution constants held fixed, growing R sharpens the law:
-        the rate falls when operating below threshold and rises above it."""
+        the rate falls when operating below threshold and rises above it.
+        At T = 10**6 every L(0) underflows, so the DE rate is 0 and the law
+        is the rate."""
         sol = ThresholdSolution(eps_star=0.5, x_star=0.3, nu_star=0.8, alpha=0.6)
         sizes = [200, 400, 800, 1600, 3200]
         below = [
-            bit_erasure_rate(DegreeModel(R=R, T=100, d_t=3.0, epsilon=0.45), sol) for R in sizes
+            bit_erasure_rate(DegreeModel(R=R, T=10**6, d_t=3.0, epsilon=0.45), sol)
+            for R in sizes
         ]
         assert all(a > b for a, b in zip(below, below[1:]))
         above = [
-            bit_erasure_rate(DegreeModel(R=R, T=100, d_t=3.0, epsilon=0.55), sol) for R in sizes
+            bit_erasure_rate(DegreeModel(R=R, T=10**6, d_t=3.0, epsilon=0.55), sol)
+            for R in sizes
         ]
         assert all(a < b for a, b in zip(above, above[1:]))
