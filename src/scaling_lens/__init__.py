@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 from .degree import DegreeModel, PolynomialPair
 from .threshold import (
-    DegenerateThreshold,
     NonPositiveRadicand,
     ThresholdSolution,
     bit_erasure_rate,

@@ -7,9 +7,12 @@ resolved parameters, seed, package version, wall time, and any solver
 warnings.  Data files are byte-identical for identical (config, seed)
 regardless of thread count; the sidecar is not (it carries wall time).
 
-Exit codes: 0 success, 1 validation failure (config or parameters,
-nothing written), 2 numeric failure (the offending parameters are
-echoed to stderr).
+Exit codes: 0 success; 1 invalid configuration: a bad key, value or
+parameter combination, reported with its config line where there is one;
+2 numeric failure: no feasible grid, too few points, an instance over the
+Monte-Carlo edge budget or a non-finite output, reported with the
+command's parameters that were set, beyond the common keys.  `run` maps
+exceptions to these codes in one place; on 1 or 2 nothing is written.
 """
 
 from __future__ import annotations
@@ -27,12 +30,7 @@ import numpy as np
 
 from . import __version__
 from .degree import DegreeModel
-from .threshold import (
-    DegenerateThreshold,
-    bit_erasure_rate,
-    find_threshold,
-    matching_upper_bound,
-)
+from .threshold import bit_erasure_rate, find_threshold, matching_upper_bound
 from .peeling import (
     BudgetExceeded,
     mc_expected_learned,
@@ -42,7 +40,6 @@ from .peeling import (
 from .optimizer import (
     BudgetSpec,
     EmptyGrid,
-    InsufficientPoints,
     interior_maxima,
     isoflop_curve,
     optimize_budget,
@@ -58,16 +55,6 @@ from .emergence import (
     detect_plateaus,
     level_recursion_detail,
     task_mixture_binomial,
-)
-
-COMMANDS = (
-    "threshold",
-    "peel-sim",
-    "isoflop",
-    "frontier",
-    "loss",
-    "emergence",
-    "plateaus",
 )
 
 _REQUIRED = object()
@@ -115,8 +102,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "d_t": ("float", _REQUIRED),
         "epsilon": ("float", 0.5),
         "eval_mode": ("enum:exact_log|poisson_limit", "exact_log"),
-        "eps_lo": ("float", 0.0),
-        "eps_hi": ("float", 1.0),
     },
     "peel-sim": {
         "R": ("int", _REQUIRED),
@@ -147,7 +132,7 @@ for _schema in SCHEMAS.values():
     _schema.update(_COMMON_KEYS)
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Validation failure; line is None when not tied to a config line."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -259,28 +244,16 @@ def _resolve_budget_specs(params: dict) -> list[BudgetSpec]:
         raise ConfigError(
             "budgets missing: set 'budgets' or all of budget_min/budget_max/budget_count"
         )
-    try:
-        return [
-            BudgetSpec(
-                C=c,
-                varsigma=params["varsigma"],
-                tau=params["tau"],
-                d_t=params["d_t"],
-                epsilon=params["epsilon"],
-            )
-            for c in cs
-        ]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _build_hierarchy(params: dict) -> SkillHierarchy:
-    try:
-        return SkillHierarchy.exponential_thresholds(
-            params["levels"], params["skills_per_level"], params["eta_scale"]
+    return [
+        BudgetSpec(
+            C=c,
+            varsigma=params["varsigma"],
+            tau=params["tau"],
+            d_t=params["d_t"],
+            epsilon=params["epsilon"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        for c in cs
+    ]
 
 
 def _build_task(params: dict) -> TaskSpec:
@@ -289,103 +262,78 @@ def _build_task(params: dict) -> TaskSpec:
     if not 1 <= a_lo <= a_hi:
         raise ConfigError("need 1 <= arity_min <= arity_max")
     arity = {m: 1.0 / (a_hi - a_lo + 1) for m in range(a_lo, a_hi + 1)}
-    try:
-        if kind == "homogeneous":
-            if params["task_level"] is None or params["task_m"] is None:
-                raise ConfigError(
-                    "task = homogeneous needs task_level and task_m"
-                )
-            return TaskSpec.homogeneous(params["task_level"], params["task_m"])
-        if kind == "binomial":
-            if params["task_pi"] is None:
-                raise ConfigError("task = binomial needs task_pi")
-            marginal = task_mixture_binomial(params["levels"], params["task_pi"])
-            return marginal.with_arity(arity)
-        if params["task_pis"] is None or params["task_weights"] is None:
-            raise ConfigError(
-                "task = binomial-mixture needs task_pis and task_weights"
-            )
-        marginal = task_mixture_binomial(
-            params["levels"],
-            tuple(params["task_pis"]),
-            weights=tuple(params["task_weights"]),
-        )
+    if kind == "homogeneous":
+        if params["task_level"] is None or params["task_m"] is None:
+            raise ConfigError("task = homogeneous needs task_level and task_m")
+        return TaskSpec.homogeneous(params["task_level"], params["task_m"])
+    if kind == "binomial":
+        if params["task_pi"] is None:
+            raise ConfigError("task = binomial needs task_pi")
+        marginal = task_mixture_binomial(params["levels"], params["task_pi"])
         return marginal.with_arity(arity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if params["task_pis"] is None or params["task_weights"] is None:
+        raise ConfigError("task = binomial-mixture needs task_pis and task_weights")
+    marginal = task_mixture_binomial(
+        params["levels"],
+        tuple(params["task_pis"]),
+        weights=tuple(params["task_weights"]),
+    )
+    return marginal.with_arity(arity)
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        # undefined quantity (e.g. scaling constants of a no-transition
-        # solution): an empty cell, never a NaN
-        return ""
-    if isinstance(value, str):
+def _cell(value):
+    """One output cell as a Python None, bool, int, str or finite float.
+
+    None marks an undefined quantity (e.g. scaling constants of a
+    no-transition solution): an empty cell, never a NaN.
+    """
+    if value is None or isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
+        return bool(value)
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return int(value)
     f = float(value)
     if not math.isfinite(f):
         raise NumericFailure(
             f"non-finite value {f!r} in output", {"value": repr(value)}
         )
-    return "%.17g" % f
+    return f
+
+
+def _csv_text(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, bool):
+        return "1" if cell else "0"
+    if isinstance(cell, float):
+        return "%.17g" % cell
+    return str(cell)
 
 
 def _render_data(columns: list[str], rows: list[list], fmt: str) -> bytes:
+    cells = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        writer.writerows([_csv_text(c) for c in row] for row in cells)
         return buf.getvalue().encode("utf-8")
-    native = []
-    for row in rows:
-        rec = {}
-        for col, val in zip(columns, row):
-            if val is None:
-                rec[col] = None
-            elif isinstance(val, (bool, np.bool_)):
-                rec[col] = bool(val)
-            elif isinstance(val, (int, np.integer)):
-                rec[col] = int(val)
-            elif isinstance(val, str):
-                rec[col] = val
-            else:
-                rec[col] = float(val)
-        native.append(rec)
-    try:
-        text = json.dumps({"columns": columns, "rows": native},
-                          indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise NumericFailure(f"non-finite value in output: {exc}", {}) from None
+    records = [dict(zip(columns, row)) for row in cells]
+    text = json.dumps({"columns": columns, "rows": records}, indent=2)
     return (text + "\n").encode("utf-8")
 
 
 def _run_threshold(params: dict, extras: dict, notes: list[str]):
-    try:
-        model = DegreeModel(
-            R=params["R"], T=params["T"], d_t=params["d_t"],
-            epsilon=params["epsilon"], eval_mode=params["eval_mode"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        sol = find_threshold(model, eps_lo=params["eps_lo"], eps_hi=params["eps_hi"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except DegenerateThreshold as exc:
-        raise NumericFailure(
-            f"{type(exc).__name__}: {exc}",
-            {k: params[k] for k in ("R", "T", "d_t", "epsilon")},
-        ) from None
+    model = DegreeModel(
+        R=params["R"], T=params["T"], d_t=params["d_t"],
+        epsilon=params["epsilon"], eval_mode=params["eval_mode"],
+    )
+    sol = find_threshold(model)
     ub = matching_upper_bound(model)
     p_b = bit_erasure_rate(model, sol)
     if sol.no_transition:
-        notes.append("NoTransition: no decoding transition below eps_hi")
+        notes.append("NoTransition: no decoding transition for eps up to 1")
     # the fixed point and scaling constants are undefined for a
     # no-transition sentinel, and alpha alone can be undefined when its
     # radicand is nonpositive: empty cells, never NaN
@@ -406,38 +354,27 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
 
 
 def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
-    try:
-        threads = resolve_threads(params["threads"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    threads = resolve_threads(params["threads"])
     # the sidecar records the count the run used
     params["threads"] = threads
     if params["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    try:
-        if params["mode"] == "learned":
-            if params["d_t"] <= 0 or params["R"] < 1 or params["T"] < 1:
-                raise ConfigError("peel-sim needs R >= 1, T >= 1, d_t > 0")
-            stats = mc_expected_learned(
-                params["R"], params["T"], params["d_t"],
-                trials=params["trials"], seed=params["seed"], threads=threads,
-            )
-        else:
-            model = DegreeModel(
-                R=params["R"], T=params["T"], d_t=params["d_t"],
-                epsilon=params["epsilon"],
-            )
-            stats = mc_parent_graph_erasure(
-                model, trials=params["trials"], seed=params["seed"],
-                threads=threads,
-            )
-    # the model and the Monte-Carlo calls reject bad inputs with ValueError
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    except BudgetExceeded as exc:
-        raise NumericFailure(
-            str(exc), {k: params[k] for k in ("R", "T", "d_t")}
-        ) from None
+    if params["mode"] == "learned":
+        if params["d_t"] <= 0 or params["R"] < 1 or params["T"] < 1:
+            raise ConfigError("peel-sim needs R >= 1, T >= 1, d_t > 0")
+        stats = mc_expected_learned(
+            params["R"], params["T"], params["d_t"],
+            trials=params["trials"], seed=params["seed"], threads=threads,
+        )
+    else:
+        model = DegreeModel(
+            R=params["R"], T=params["T"], d_t=params["d_t"],
+            epsilon=params["epsilon"],
+        )
+        stats = mc_parent_graph_erasure(
+            model, trials=params["trials"], seed=params["seed"],
+            threads=threads,
+        )
     extras["mean"] = stats.mean
     extras["stderr"] = stats.stderr
     columns = ["trial", "value"]
@@ -452,31 +389,21 @@ def _run_isoflop(params: dict, extras: dict, notes: list[str]):
     columns = ["C", "R", "T", "objective", "eps_star"]
     rows: list[list] = []
     maxima: dict[str, int] = {}
-    try:
-        for spec in specs:
-            curve = isoflop_curve(
-                spec, points_per_decade=params["points_per_decade"]
-            )
-            for r, t, obj, eps in zip(
-                curve.R, curve.T, curve.objective, curve.eps_star
-            ):
-                rows.append([spec.C, int(r), int(t), float(obj), float(eps)])
-            smoothed = smooth3(curve.objective)
-            maxima["%.6g" % spec.C] = interior_maxima(
-                smoothed, tol=1e-6 * float(np.max(smoothed))
-            )
-    except EmptyGrid as exc:
-        raise NumericFailure(str(exc), {"C": spec.C}) from None
+    for spec in specs:
+        curve = isoflop_curve(spec, points_per_decade=params["points_per_decade"])
+        for r, t, obj, eps in zip(curve.R, curve.T, curve.objective, curve.eps_star):
+            rows.append([spec.C, int(r), int(t), float(obj), float(eps)])
+        smoothed = smooth3(curve.objective)
+        maxima["%.6g" % spec.C] = interior_maxima(
+            smoothed, tol=1e-6 * float(np.max(smoothed))
+        )
     extras["interior_maxima_after_smoothing"] = maxima
     return columns, rows
 
 
 def _run_frontier(params: dict, extras: dict, notes: list[str]):
     specs = _resolve_budget_specs(params)
-    try:
-        opts = [optimize_budget(s) for s in specs]
-    except EmptyGrid as exc:
-        raise NumericFailure(str(exc), {"budgets": [s.C for s in specs]}) from None
+    opts = [optimize_budget(s) for s in specs]
     columns = [
         "C", "R_star", "T_star", "N_star", "D_star", "objective",
         "eps_star_at_opt",
@@ -496,10 +423,7 @@ def _run_frontier(params: dict, extras: dict, notes: list[str]):
 
 def _run_loss(params: dict, extras: dict, notes: list[str]):
     specs = _resolve_budget_specs(params)
-    try:
-        frontier = frontier_loss_curve(specs)
-    except EmptyGrid as exc:
-        raise NumericFailure(str(exc), {"budgets": [s.C for s in specs]}) from None
+    frontier = frontier_loss_curve(specs)
     columns = [
         "C", "R_star", "N_star", "P_b", "P_e_train_exact",
         "P_e_train_approx", "excess_entropy_lb",
@@ -515,7 +439,9 @@ def _run_loss(params: dict, extras: dict, notes: list[str]):
 
 def _emergence_curve(params: dict):
     specs = _resolve_budget_specs(params)
-    h = _build_hierarchy(params)
+    h = SkillHierarchy.exponential_thresholds(
+        params["levels"], params["skills_per_level"], params["eta_scale"]
+    )
     task = _build_task(params)
     top = task.max_level()
     if top > h.L:
@@ -551,12 +477,9 @@ def _run_emergence(params: dict, extras: dict, notes: list[str]):
         params["slope_tol"] is not None
         and params["min_width_decades"] is not None
     ):
-        try:
-            segments = detect_plateaus(
-                curve, params["slope_tol"], params["min_width_decades"]
-            )
-        except TooFewPoints as exc:
-            raise NumericFailure(str(exc), {"points": len(specs)}) from None
+        segments = detect_plateaus(
+            curve, params["slope_tol"], params["min_width_decades"]
+        )
         extras["plateau_report"] = _segment_report(curve, segments)
     return columns, rows
 
@@ -580,14 +503,11 @@ def _segment_report(curve, segments) -> dict:
 
 
 def _run_plateaus(params: dict, extras: dict, notes: list[str]):
-    specs, h, curve = _emergence_curve(params)
+    _, _, curve = _emergence_curve(params)
     notes.extend(curve.warnings)
-    try:
-        segments = detect_plateaus(
-            curve, params["slope_tol"], params["min_width_decades"]
-        )
-    except TooFewPoints as exc:
-        raise NumericFailure(str(exc), {"points": len(specs)}) from None
+    segments = detect_plateaus(
+        curve, params["slope_tol"], params["min_width_decades"]
+    )
     extras["plateau_report"] = _segment_report(curve, segments)
     columns = [
         "start_C", "end_C", "kind", "width_decades",
@@ -625,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scaling-lens", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command in _RUNNERS:
         p = sub.add_parser(command)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
@@ -648,15 +568,19 @@ def run(command: str, params: dict) -> int:
         notes.extend(str(w.message) for w in caught)
         out_path = params["out"] or f"{command.replace('-', '_')}.{params['format']}"
         data = _render_data(columns, rows, params["format"])
-    except ConfigError as exc:
-        loc = f" (line {exc.line})" if exc.line else ""
-        print(f"scaling-lens {command}: invalid configuration{loc}: {exc}",
+    # EmptyGrid and TooFewPoints are ValueErrors, so they go first
+    except (NumericFailure, EmptyGrid, TooFewPoints, BudgetExceeded) as exc:
+        shown = exc.params if isinstance(exc, NumericFailure) else {
+            k: params[k] for k in SCHEMAS[command]
+            if k not in _COMMON_KEYS and params[k] is not None
+        }
+        print(f"scaling-lens {command}: numeric failure: {exc}; "
+              f"parameters: {shown}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"scaling-lens {command}: invalid configuration: {exc}",
               file=sys.stderr)
         return 1
-    except NumericFailure as exc:
-        print(f"scaling-lens {command}: numeric failure: {exc}; "
-              f"parameters: {exc.params}", file=sys.stderr)
-        return 2
 
     meta = {
         "command": command,

@@ -462,13 +462,17 @@ def detect_plateaus(
 
     Interval slopes are d(accuracy)/d(log10 C); plateaus need |slope|
     below slope_tol over at least min_width_decades, narrower flat runs
-    count as part of a rise; adjacent segments of one kind merge.
+    count as part of a rise; adjacent segments of one kind merge.  C must
+    be strictly increasing: a ValueError says so otherwise.
     """
     n = curve.C.shape[0]
     if n < 8:
         raise TooFewPoints(f"plateau detection needs >= 8 points, got {n}")
     log_c = np.log10(curve.C)
-    slopes = np.diff(curve.accuracy) / np.diff(log_c)
+    steps = np.diff(log_c)
+    if not np.all(steps > 0.0):
+        raise ValueError("plateau detection needs strictly increasing budgets C")
+    slopes = np.diff(curve.accuracy) / steps
     kinds = ["plateau" if abs(s) < slope_tol else "rise" for s in slopes]
 
     def merge(kind_list: list[tuple[int, int, str]]) -> list[tuple[int, int, str]]:

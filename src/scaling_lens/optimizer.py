@@ -149,8 +149,11 @@ def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
 
 
 def _r_bounds(spec: BudgetSpec) -> tuple[int, int]:
+    """Feasible R range [d_t + 1, C']; raises EmptyGrid when it is empty."""
     r_lo = int(math.floor(spec.d_t)) + 1
     r_hi = int(spec.C_prime)
+    if r_hi < r_lo:
+        raise EmptyGrid(f"no feasible R: need R in [{r_lo}, C'={spec.C_prime:.3g}]")
     return r_lo, r_hi
 
 
@@ -162,24 +165,10 @@ def _geometric_ints(r_lo: int, r_hi: int, points_per_decade: int) -> np.ndarray:
 
 
 def isoflop_curve(
-    spec: BudgetSpec,
-    R_grid: np.ndarray | None = None,
-    points_per_decade: int = COARSE_POINTS_PER_DECADE,
+    spec: BudgetSpec, points_per_decade: int = COARSE_POINTS_PER_DECADE
 ) -> IsoflopCurve:
     """Objective and threshold along a geometric R grid, T = floor(C'/R)."""
-    r_lo, r_hi = _r_bounds(spec)
-    if R_grid is None:
-        if r_hi < r_lo:
-            raise EmptyGrid(
-                f"no feasible R: need R in [{r_lo}, C'={spec.C_prime:.3g}]"
-            )
-        grid = _geometric_ints(r_lo, r_hi, points_per_decade)
-    else:
-        grid = np.unique(np.asarray(R_grid, dtype=np.int64))
-        grid = grid[(grid >= r_lo) & (grid <= r_hi)]
-    if grid.size == 0:
-        raise EmptyGrid("R grid is empty after clipping to [R_min, C']")
-
+    grid = _geometric_ints(*_r_bounds(spec), points_per_decade)
     values = np.empty(grid.size)
     stars = np.empty(grid.size)
     texts = np.empty(grid.size, dtype=np.int64)
@@ -312,11 +301,6 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     memoized objective, so the refinement reuses the scan's solves.
     """
     r_lo, r_hi = _r_bounds(spec)
-    if r_hi < r_lo:
-        raise EmptyGrid(
-            f"no feasible R: need R in [{r_lo}, C'={spec.C_prime:.3g}]"
-        )
-
     cache: dict[int, tuple[float, ThresholdSolution, int]] = {}
 
     def solve(r: int) -> tuple[float, ThresholdSolution, int]:

@@ -360,7 +360,8 @@ def mc_expected_learned(
     Graphs are G(R, T, p) with p = d_t / R; all R concepts start unknown.
     """
     seed = _check_seed(seed)
-    p = d_t / R
+    # max(R, 1) defers R < 1 to _check_budget's ValueError
+    p = d_t / max(R, 1)
     _check_budget(R, T, p)
 
     def one_trial(i: int) -> float:

@@ -31,7 +31,7 @@ from 0 never decreases, it stops as soon as twice its value reaches that
 cap: the cut is then the cap whatever the limit, so junk-dominated models
 need a few DE steps per cut instead of hundreds.  (de_fixed_point needs
 the exact limit and runs the full orbit.)  As this cut depends on eps,
-find_threshold iterates eps <- min x/g(x) down from eps_hi and, where the
+find_threshold iterates eps <- min x/g(x) down from eps = 1 and, where the
 minimum sits on the cut, solves for the crossing instead.  The minimum
 depends on eps only through the cut, so each solve computes it once per
 distinct cut; on clean models every pass shares the cut X_GRID_LO.
@@ -49,7 +49,6 @@ from .degree import DegreeModel, PolynomialPair
 
 __all__ = [
     "ThresholdSolution",
-    "DegenerateThreshold",
     "NonPositiveRadicand",
     "qfunc",
     "de_map",
@@ -75,10 +74,6 @@ DE_MAX_ITER = 30000
 MAX_CUT_PASSES = 64
 # separate wells of x/g(x) whose minima lie this close count as tied
 TIE_WINDOW = 1e-9
-
-
-class DegenerateThreshold(Exception):
-    """A fixed point already exists at the lower end of the eps bracket."""
 
 
 class NonPositiveRadicand(Exception):
@@ -231,25 +226,23 @@ def _min_above(model, cut: float, ratio):
     return float(r_min), float(x_min), bool(gaps.size), bool(x_min == cut)
 
 
-def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> ThresholdSolution:
+def find_threshold(model) -> ThresholdSolution:
     """Decoding threshold: the first eps with eps >= m(eps).
 
     m(eps) is the minimum of x/g(x) over the junk cut and the log-spaced
-    X_GRID above it.  From eps_hi the iteration eps <- m(eps) falls, as the
+    X_GRID above it.  From eps = 1 the iteration eps <- m(eps) falls, as the
     cut does not decrease with eps, and stops in two passes when the
     minimizer lies above the cut.  On the cut it would converge only
     linearly, so there eps - m(eps) = 0 is solved by secant steps, then
     false position once bracketed.  Works for DegreeModel and for
     PolynomialPair (classical ensembles given by coefficient lists).
 
-    Raises DegenerateThreshold if a fixed point already exists at eps_lo.
-    If none exists even at eps_hi the returned solution carries
-    eps_star = eps_hi with no_transition set.  Divide and overflow
-    warnings are silenced for the solve: g vanishes at low x on data-rich
-    models, where x/g(x) is +inf.
+    The threshold is defined over the whole range 0 <= eps <= 1, so the
+    solve needs no bracket.  If no fixed point exists even at eps = 1 the
+    returned solution carries eps_star = 1 with no_transition set.  Divide
+    and overflow warnings are silenced for the solve: g vanishes at low x
+    on data-rich models, where x/g(x) is +inf.
     """
-    if not 0.0 <= eps_lo < eps_hi <= 1.0:
-        raise ValueError(f"need 0 <= eps_lo < eps_hi <= 1, got [{eps_lo}, {eps_hi}]")
     with np.errstate(divide="ignore", over="ignore"):
         ratio = _ratio(model, X_GRID)
         minima: dict[float, tuple] = {}
@@ -260,18 +253,13 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
                 minima[cut] = _min_above(model, cut, ratio)
             return minima[cut]
 
-        # m(0) > 0, so only a positive eps_lo can be degenerate
-        if eps_lo > 0.0 and m(eps_lo)[0] <= eps_lo:
-            raise DegenerateThreshold(
-                f"fixed point already present at eps_lo={eps_lo}; no transition to bracket"
-            )
-        hi = eps_hi
+        hi = 1.0
         r, x_star, tied, on_cut = m(hi)
         if r > hi:
-            logger.debug("no fixed point up to eps_hi=%g; returning sentinel", eps_hi)
-            nu, al = _solution_constants(model, eps_hi, x_star)
+            logger.debug("no fixed point up to eps=1; returning sentinel")
+            nu, al = _solution_constants(model, hi, x_star)
             return ThresholdSolution(
-                eps_hi, x_star, nu, al, no_transition=True, tied_maximizer=tied
+                hi, x_star, nu, al, no_transition=True, tied_maximizer=tied
             )
 
         # h = eps - m(eps) >= 0 at hi; the first step is the plain iteration,
@@ -282,7 +270,7 @@ def find_threshold(model, eps_lo: float = 0.0, eps_hi: float = 1.0) -> Threshold
             if lo is not None:
                 eps = hi - h_hi * (hi - lo) / (h_hi - h_lo)
             elif prev is not None and prev[1] > h_hi:
-                eps = max(eps_lo, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
+                eps = max(0.0, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
             else:
                 eps = r
             r, x, t, c = m(eps)

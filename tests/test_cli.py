@@ -131,6 +131,49 @@ class TestExitCodes:
             run_cli(["--version"])
         assert exc.value.code == 0
 
+    TASK = (
+        "levels = 5\nskills_per_level = 50\ntask = homogeneous\n"
+        "task_level = 1\ntask_m = 2\nslope_tol = 0.02\nmin_width_decades = 0.3\n"
+    )
+    # C = 30 gives C' = 5 < R_min = 7: no feasible R
+    EMPTY = "budgets = 30, 60\n"
+    FAILURES = {
+        "isoflop_empty_grid": ("isoflop", EMPTY, 2, "no feasible R"),
+        "frontier_empty_grid": ("frontier", EMPTY, 2, "no feasible R"),
+        "loss_empty_grid": ("loss", EMPTY, 2, "no feasible R"),
+        "emergence_empty_grid": ("emergence", EMPTY + TASK, 2, "no feasible R"),
+        "plateaus_empty_grid": ("plateaus", EMPTY + TASK, 2, "no feasible R"),
+        "plateaus_too_few_points": (
+            "plateaus", "budgets = 6e4, 6e5, 6e6\n" + TASK, 2, "needs >= 8 points"
+        ),
+        "plateaus_descending": (
+            "plateaus", "budgets = 6e6, 3e6, 1e6, 6e5, 3e5, 1e5, 8e4, 6e4\n" + TASK,
+            1, "strictly increasing",
+        ),
+        "plateaus_repeated": (
+            "plateaus", "budgets = 6e4, 8e4, 1e5, 1e5, 3e5, 6e5, 1e6, 3e6\n" + TASK,
+            1, "strictly increasing",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", FAILURES)
+    def test_failure_is_one_line_and_writes_nothing(self, name, tmp_path, capsys, monkeypatch):
+        """Every command maps a failure to its exit code, without a traceback or output."""
+        monkeypatch.chdir(tmp_path)
+        command, text, code, message = self.FAILURES[name]
+        cfg = write_config(tmp_path, text)
+        assert run_cli([command, "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
+        if code == 2:
+            # the command's keys that were set, without the common ones
+            assert "numeric failure" in err and "'budgets': [" in err
+            assert "'seed'" not in err and "'out'" not in err
+        else:
+            assert "invalid configuration" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
+
 
 class TestThresholdCommand:
     def test_solved_model_csv(self, tmp_path, monkeypatch):
@@ -176,18 +219,6 @@ class TestThresholdCommand:
         assert abs(float(cells[10]) - mc.mean) <= 3.0 * mc.stderr
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert any("NoTransition" in w for w in meta["warnings"])
-
-    @pytest.mark.parametrize(
-        "bracket", ["eps_lo = 0.6\neps_hi = 0.5\n", "eps_hi = 1.5\n"], ids=["reversed", "above_one"]
-    )
-    def test_bad_eps_bracket_is_config_error(self, bracket, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, THRESHOLD_OK + bracket + "out = t.csv\n")
-        assert run_cli(["threshold", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err and "eps_lo < eps_hi" in err
-        assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
     def test_json_format_matches_csv_values(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -429,3 +429,13 @@ class TestDetectPlateaus:
         curve = synthetic_curve(np.linspace(0, 2, 7), np.linspace(0, 1, 7))
         with pytest.raises(TooFewPoints):
             detect_plateaus(curve, slope_tol=0.02, min_width_decades=0.3)
+
+    @pytest.mark.parametrize(
+        "log_c",
+        [np.linspace(4, 0, 12), np.repeat(np.linspace(0, 4, 6), 2)],
+        ids=["descending", "repeated"],
+    )
+    def test_budgets_must_increase(self, log_c):
+        curve = synthetic_curve(log_c, np.linspace(0, 1, log_c.size))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            detect_plateaus(curve, slope_tol=0.02, min_width_decades=0.3)

@@ -166,11 +166,12 @@ class TestIsoflopCurve:
         assert np.all(desk_curve.objective <= desk_curve.R)
 
     def test_custom_grid_and_empty_grid(self):
+        # any grid density keeps both ends of [R_min, C'], so a feasible
+        # budget never gives an empty grid
         spec = BudgetSpec(C=6e5, d_t=6.0)
-        cur = isoflop_curve(spec, R_grid=np.array([10, 100, 1000]))
-        assert cur.R.tolist() == [10, 100, 1000]
-        with pytest.raises(EmptyGrid):
-            isoflop_curve(spec, R_grid=np.array([2, 3]))  # below R_min = 7
+        cur = isoflop_curve(spec, points_per_decade=2)
+        assert (cur.R[0], cur.R[-1]) == (7, 100000)  # R_min, C'
+        assert np.all(np.diff(cur.R) > 0)
         with pytest.raises(EmptyGrid):
             isoflop_curve(BudgetSpec(C=30.0, d_t=6.0))  # C' = 5 < R_min
 

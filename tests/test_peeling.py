@@ -441,6 +441,12 @@ class TestMcExpectedLearned:
         with pytest.raises(ValueError):
             mc_expected_learned(R=10, T=10, d_t=1.0, trials=10, seed=-1)
 
+    @pytest.mark.parametrize("R", [0, -3])
+    def test_no_concepts_is_value_error(self, R):
+        """p = d_t/R is never formed for R < 1: a ValueError, not a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="at least one concept"):
+            mc_expected_learned(R=R, T=10, d_t=1.0, trials=10, seed=1)
+
 
 class TestMcParentGraphErasure:
     def test_no_texts_leaves_everything_stuck(self):

@@ -15,7 +15,6 @@ from scaling_lens.optimizer import BudgetSpec, _geometric_ints, _r_bounds, isofl
 from scaling_lens.peeling import mc_parent_graph_erasure
 from scaling_lens import threshold
 from scaling_lens.threshold import (
-    DegenerateThreshold,
     ThresholdSolution,
     bit_erasure_rate,
     de_map,
@@ -170,16 +169,6 @@ class TestFindThreshold:
         assert sol.eps_star == 1.0
         assert bit_erasure_rate(m, sol) == pytest.approx(0.33785, abs=1e-5)
 
-    def test_degenerate_bracket_raises(self):
-        with pytest.raises(DegenerateThreshold):
-            find_threshold(PAIR_36, eps_lo=0.6, eps_hi=0.9)
-
-    def test_invalid_bracket_rejected(self):
-        with pytest.raises(ValueError):
-            find_threshold(PAIR_36, eps_lo=0.5, eps_hi=0.5)
-        with pytest.raises(ValueError):
-            find_threshold(PAIR_36, eps_lo=-0.1, eps_hi=0.5)
-
     def test_threshold_nondecreasing_in_texts(self):
         """More texts never hurt: eps_star is monotone in T at fixed R, d_t."""
         rng = np.random.default_rng(42)
@@ -272,13 +261,7 @@ class TestJunkOrbitEarlyStop:
             models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
 
         def solve_all():
-            out = []
-            for model in models:
-                try:
-                    out.append(find_threshold(model))
-                except DegenerateThreshold as exc:
-                    out.append(repr(exc))
-            return out
+            return [find_threshold(model) for model in models]
 
         stopped = solve_all()
         early = []
@@ -291,7 +274,7 @@ class TestJunkOrbitEarlyStop:
         monkeypatch.setattr(threshold, "_trivial_branch", full_orbit)
         reference = solve_all()
         assert stopped == reference
-        on_cut = sum(isinstance(s, ThresholdSolution) and s.on_junk_cut for s in stopped)
+        on_cut = sum(s.on_junk_cut for s in stopped)
         assert on_cut >= 10
         assert any(early)
 
@@ -361,13 +344,7 @@ class TestMinAboveMemo:
             models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
 
         def solve_all():
-            out = []
-            for model in models:
-                try:
-                    out.append(find_threshold(model))
-                except DegenerateThreshold as exc:
-                    out.append(repr(exc))
-            return out
+            return [find_threshold(model) for model in models]
 
         cuts, calls = spy_cuts(monkeypatch)
         shared = solve_all()
@@ -419,30 +396,23 @@ class TestErrorState:
     solves: numpy's error state is the caller's again afterwards."""
 
     CASES = {
-        "clean": (DegreeModel(R=1000, T=4500, d_t=6.0), {}, None),
-        "junk_cut": (DegreeModel(R=206, T=48, d_t=6.0), {}, None),
-        "no_transition": (DegreeModel(R=1000, T=800, d_t=0.9), {}, None),
+        "clean": DegreeModel(R=1000, T=4500, d_t=6.0),
+        "junk_cut": DegreeModel(R=206, T=48, d_t=6.0),
+        "no_transition": DegreeModel(R=1000, T=800, d_t=0.9),
         # lam(0) underflows to 0, so x/g(x) divides by zero at low x
-        "data_rich": (DegreeModel(R=100, T=20000, d_t=6.0), {}, None),
-        "degenerate": (PAIR_36, {"eps_lo": 0.6, "eps_hi": 0.9}, DegenerateThreshold),
-        "bad_bracket": (PAIR_36, {"eps_lo": 0.5, "eps_hi": 0.5}, ValueError),
+        "data_rich": DegreeModel(R=100, T=20000, d_t=6.0),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_error_state_is_restored_without_warnings(self, name):
-        model, kwargs, raises = self.CASES[name]
         before = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            if raises is None:
-                find_threshold(model, **kwargs)
-            else:
-                with pytest.raises(raises):
-                    find_threshold(model, **kwargs)
+            find_threshold(self.CASES[name])
         assert np.geterr() == before
 
     def test_data_rich_grid_divides_by_zero(self):
-        model = self.CASES["data_rich"][0]
+        model = self.CASES["data_rich"]
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             threshold._ratio(model, threshold.X_GRID)
 
