@@ -102,9 +102,15 @@ class DegreeModel:
         )
 
     def gen(self, which: str, x, order: int = 0):
-        """Evaluate a generating function or one of its first two derivatives."""
+        """Evaluate a generating function or one of its first two derivatives.
+
+        In exact_log mode a float x (np.float64 included) is evaluated
+        without an array and gives the bits that the same x gives inside one.
+        """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        if isinstance(x, float) and self.eval_mode == "exact_log":
+            return self._gen_at(x, ((which, order),))[0]
         n = self._exponent(which)
         x = np.asarray(x, dtype=np.float64)
         if self.eval_mode == "poisson_limit":
@@ -113,6 +119,20 @@ class DegreeModel:
         else:
             out = binomial_gen(n, self.p, x, order)
         return float(out) if out.ndim == 0 else out
+
+    def _gen_at(self, x: float, terms) -> list[float]:
+        """gen(which, x, order) for each (which, order) of terms at one float x.
+
+        In exact_log mode the functions share the log term log1p(p*(x - 1)),
+        computed once, and use numpy ufuncs on floats, not math, so each
+        value has the bits of the array path; math differs from numpy in
+        the last bit on a few percent of exp and log1p inputs.
+        """
+        if self.eval_mode == "poisson_limit":
+            return [self.gen(which, np.asarray(x), order) for which, order in terms]
+        p = self.p
+        base = np.log1p(p * (x - 1.0))
+        return [_binomial_at(self._exponent(w), p, base, order) for w, order in terms]
 
     # Shorthands used throughout the threshold solver.
     def L(self, x, order: int = 0):
@@ -209,6 +229,9 @@ class PolynomialPair:
     def l_prime_at_one(self) -> float:
         return 1.0 / self.lam_integral()
 
+    def _gen_at(self, x: float, terms) -> list[float]:
+        return [getattr(self, which)(x, order) for which, order in terms]
+
     _scalar_lam = lam
     _scalar_rho = rho
 
@@ -218,22 +241,48 @@ def log_gen(n, p, x):
     return n * np.log1p(p * (x - 1.0))
 
 
+def _coeff(n, p, order: int):
+    """The order-th derivative's factor: the product of (n - k)*p over k < order."""
+    coeff = 1.0
+    for k in range(order):
+        coeff = coeff * ((n - k) * p)
+    return coeff
+
+
+def _binomial_at(n: float, p: float, base, order: int) -> float:
+    """binomial_gen for one float point, given base = log1p(p*(x - 1))."""
+    coeff = _coeff(n, p, order)
+    e = (n - order) * base
+    if e < _LOG_UNDERFLOW or coeff == 0.0:
+        return 0.0
+    return float(coeff * np.exp(e)) if order else float(np.exp(e))
+
+
 def binomial_gen(n, p, x, order: int = 0):
     """order-th derivative of (p*x + 1 - p)**n in log space, broadcasting over n, p and x.
 
     +0.0 where the log-space exponent e is below -745, where exp underflows
     to zero, or where the derivative's coefficient vanishes; elsewhere it is
-    coeff*exp(e), subnormal values included.  exp and the product skip the
-    zeroed entries: exp takes a slow path for results in the subnormal
-    range, and the value would be discarded anyway.
+    coeff*exp(e), subnormal values included.  When no entry is zeroed,
+    as on every clean threshold solve, a plain exp computes it, about
+    twice as fast as a masked one.  Otherwise, as on most of the
+    optimizer's row-bound rows, exp and the product skip the zeroed
+    entries: exp takes a slow path for results in the subnormal range,
+    which makes a plain exp there about 25 times slower, and the value
+    would be discarded anyway.  NaN is never zeroed and propagates.
     """
-    coeff = 1.0
-    for k in range(order):
-        coeff = coeff * ((n - k) * p)
+    coeff = _coeff(n, p, order)
     e = log_gen(n - order, p, x)
-    keep = ~(e < _LOG_UNDERFLOW)  # not e >= ...: NaN must reach exp and propagate
+    drop = e < _LOG_UNDERFLOW  # not ~(e >= ...): NaN must reach exp and propagate
     if order:
-        keep &= coeff != 0.0
+        drop |= coeff == 0.0
+    if not np.count_nonzero(drop):  # C call; ndarray.any costs 3x as much on small inputs
+        # out= keeps a 0-d result an array, as on the masked path
+        out = np.exp(e, out=np.empty_like(e))
+        if order:
+            np.multiply(coeff, out, out=out)
+        return out
+    keep = ~drop
     out = np.zeros(np.shape(keep))
     np.exp(e, out=out, where=keep)
     if order:

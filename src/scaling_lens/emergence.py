@@ -9,6 +9,11 @@ fraction is the giant-component fraction of an Erdos-Renyi graph with
 mean degree p_l * S^(l), which switches on only past mean degree 1;
 chaining levels through the prerequisite factor gamma_prev^(2 sigma_l)
 produces the sharp emergence steps and the plateaus between them.
+A level with prerequisites (sigma > 0) right above a dead one (gamma = 0)
+gets factor 0 and is dead as well, so past the first dead level the
+recursion fills a zero tail, up to the next level with sigma = 0, without
+evaluating the link bound or the giant component; the accuracy sum skips
+the tail's terms, which are exactly 0.
 
 Branch conventions for the link bound: at eta == mu the in-mean branch
 (1 - g) applies, yielding 0 (the bound is vacuous at the mean); the
@@ -77,6 +82,8 @@ class SkillHierarchy:
             raise ValueError("hierarchy needs at least one level")
         if any(s < 2 for s in self.S):
             raise ValueError("every level needs S >= 2 skills")
+        if not all(math.isfinite(v) for v in (*self.eta, *self.sigma)):
+            raise ValueError("thresholds eta and prerequisite counts sigma must be finite")
         if any(e <= 0 for e in self.eta):
             raise ValueError("thresholds eta must be positive")
         if any(s < 0 for s in self.sigma):
@@ -110,6 +117,8 @@ class TaskSpec:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("task mixture cannot be empty")
+        if not all(math.isfinite(q) for q in self.weights.values()):
+            raise ValueError("mixture weights must be finite")
         total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
@@ -180,16 +189,22 @@ class Segment:
 
 def concept_pair_prob(R: int, T: int, d_t: float, S_l: int) -> float:
     """Two fixed concepts co-occur in some text and map to one fixed skill."""
+    shared = _cooccur_prob(R, T, d_t)
+    if S_l < 1:
+        raise ValueError("R, S_l must be >= 1 and T >= 0")
+    return shared / (S_l * S_l)
+
+
+def _cooccur_prob(R: int, T: int, d_t: float) -> float:
+    """Two fixed concepts co-occur in some text: concept_pair_prob before the skill map."""
     if d_t > R:
         raise ValueError(f"d_t = {d_t} cannot exceed R = {R}")
-    if T < 0 or R < 1 or S_l < 1:
+    if T < 0 or R < 1:
         raise ValueError("R, S_l must be >= 1 and T >= 0")
     ratio = (d_t / R) ** 2
     if ratio >= 1.0:
-        shared = 1.0 if T >= 1 else 0.0
-    else:
-        shared = -math.expm1(T * math.log1p(-ratio))
-    return shared / (S_l * S_l)
+        return 1.0 if T >= 1 else 0.0
+    return -math.expm1(T * math.log1p(-ratio))
 
 
 def _kl_upper_exponent(n: float, eta: float, mu: float, p: float) -> float:
@@ -335,10 +350,22 @@ def gcc_fraction(mean_degree: float) -> float:
 
 
 def _levels(h: SkillHierarchy, R: int, T: int, d_t: float):
-    """(p_rr, p_link, mean_degree, gamma) per level, bottom to top, in floats."""
+    """(p_rr, p_link, mean_degree, gamma) per level, bottom to top, in floats.
+
+    A level above a dead one (gamma_prev = 0) with prerequisites
+    (sigma > 0) has prerequisite factor 0, so p_link, the mean degree and
+    gamma are +0.0 there; such a level is yielded without calling
+    skill_link_prob or gcc_fraction, unless that call would warn
+    (eta >= binom(R,2)) or raise (p_rr outside (0, 1)).
+    """
+    shared = _cooccur_prob(R, T, d_t)
+    n_pairs = R * (R - 1) / 2.0
     gamma = 1.0
     for S, eta, sigma in zip(h.S, h.eta, h.sigma):
-        p_rr = concept_pair_prob(R, T, d_t, S)
+        p_rr = shared / (S * S)
+        if gamma == 0.0 < sigma and 0.0 < eta < n_pairs and 0.0 < p_rr < 1.0:
+            yield p_rr, 0.0, 0.0, 0.0
+            continue
         p_link = skill_link_prob(R, p_rr, eta, sigma, gamma)
         c = p_link * S
         gamma = gcc_fraction(c)
@@ -358,12 +385,20 @@ def level_recursion(h: SkillHierarchy, R: int, T: int, d_t: float) -> np.ndarray
 
 
 def task_accuracy(gamma: np.ndarray, task: TaskSpec) -> float:
-    """Accuracy lower bound sum q(l,m) gamma_l^m."""
+    """Accuracy lower bound sum q(l,m) gamma_l^m.
+
+    Levels with gamma_l = 0 add exactly +0.0 (weights are finite), so the
+    sum skips them.
+    """
     g = np.asarray(gamma, dtype=np.float64).tolist()
-    top = task.max_level()
-    if top > len(g):
-        raise ValueError(f"task references level {top} but only {len(g)} levels given")
-    acc = math.fsum(q * g[l - 1] ** m for (l, m), q in task.weights.items())
+    try:
+        acc = math.fsum(
+            q * gl**m for (l, m), q in task.weights.items() if (gl := g[l - 1]) != 0.0
+        )
+    except IndexError:
+        raise ValueError(
+            f"task references level {task.max_level()} but only {len(g)} levels given"
+        ) from None
     return min(1.0, max(0.0, acc))
 
 
@@ -388,6 +423,8 @@ def task_mixture_binomial(
         wts = tuple(float(w) for w in weights)
         if len(wts) != len(pis):
             raise ValueError("weights and pis must have equal length")
+        if not all(math.isfinite(w) for w in wts):
+            raise ValueError("mixture weights must be finite")
         if abs(math.fsum(wts) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
     for x in pis:

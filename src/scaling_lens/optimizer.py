@@ -84,6 +84,9 @@ class BudgetSpec:
     epsilon: float = 0.5
 
     def __post_init__(self):
+        for name in ("C", "varsigma", "tau", "d_t", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.C <= 0 or self.varsigma <= 0 or self.tau <= 0:
             raise ValueError("C, varsigma, tau must all be positive")
         if not 0.0 < self.epsilon < 1.0:

@@ -35,6 +35,11 @@ find_threshold iterates eps <- min x/g(x) down from eps = 1 and, where the
 minimum sits on the cut, solves for the crossing instead.  The minimum
 depends on eps only through the cut, so each solve computes it once per
 distinct cut; on clean models every pass shares the cut X_GRID_LO.
+
+nu_star and alpha take rho and rho' at xbar and xbar**2 (xbar = 1 - x_star),
+then lam at y and y**2, lam'(y**2) and L(y), with y = 1 - rho(xbar).  The
+functions at each of these four points come from one log term
+log1p(p*(x - 1)) per point, on floats, with the bits of the array path.
 """
 
 from __future__ import annotations
@@ -209,7 +214,7 @@ def _min_above(model, cut: float, ratio):
         rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
     i = int(np.argmin(rs))
     near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
-    gaps = np.flatnonzero(np.diff(near) > 1)
+    gaps = np.flatnonzero(near[1:] - near[:-1] > 1)
     if gaps.size:
         k = int(near[gaps[-1] + 1])
         i = k + int(np.argmin(rs[k : near[-1] + 1]))
@@ -298,14 +303,29 @@ def _solution_constants(model, eps_star: float, x_star: float):
     """(nu_star, alpha) at the tangency; alpha is nan where scaling_alpha fails."""
     if not math.isfinite(x_star):
         return math.nan, math.nan
-    xbar = 1.0 - x_star
-    rho = model.rho(np.array([xbar, xbar * xbar]))
-    nu_star = eps_star * model.L(1.0 - rho[0])
+    terms = _tangent_terms(model, x_star)
+    nu_star = eps_star * terms[-1]
     try:
-        alpha = _alpha(model, x_star, eps_star, rho)
+        alpha = _alpha(model, x_star, eps_star, terms)
     except (NonPositiveRadicand, ZeroDivisionError):
         alpha = math.nan
     return float(nu_star), alpha
+
+
+def _tangent_terms(model, x_star: float):
+    """The generating-function values at the tangency that nu_star and alpha use.
+
+    rho and rho' at xbar and xbar**2 (xbar = 1 - x_star), then, with
+    y = 1 - rho(xbar), lam at y and y**2, lam'(y**2) and L(y).  Each point's
+    functions share one log term.
+    """
+    xbar = 1.0 - x_star
+    rho_xb, drho_xb = model._gen_at(xbar, (("rho", 0), ("rho", 1)))
+    rho_xb2, drho_xb2 = model._gen_at(xbar * xbar, (("rho", 0), ("rho", 1)))
+    y = 1.0 - rho_xb
+    lam_y, l_y = model._gen_at(y, (("lam", 0), ("L", 0)))
+    lam_y2, dlam_y2 = model._gen_at(y * y, (("lam", 0), ("lam", 1)))
+    return rho_xb, rho_xb2, drho_xb, drho_xb2, lam_y, lam_y2, dlam_y2, l_y
 
 
 def matching_upper_bound(model) -> float:
@@ -340,23 +360,15 @@ def scaling_alpha(model, x_star: float, eps_star: float) -> float:
     L'(1); the slope is the square root of their sum.  Raises
     NonPositiveRadicand if the bracketed sum is not positive.
     """
+    return _alpha(model, x_star, eps_star, _tangent_terms(model, x_star))
+
+
+def _alpha(model, x_star: float, eps_star: float, terms) -> float:
+    """scaling_alpha given _tangent_terms(model, x_star)."""
     xbar = 1.0 - x_star
-    return _alpha(model, x_star, eps_star, model.rho(np.array([xbar, xbar * xbar])))
-
-
-def _alpha(model, x_star: float, eps_star: float, rho) -> float:
-    """scaling_alpha given rho at xbar and xbar**2, xbar = 1 - x_star.
-
-    One generating-function call per function and order, on small arrays.
-    """
-    xbar = 1.0 - x_star
-    rho_xb, rho_xb2 = rho.tolist()
+    rho_xb, rho_xb2, drho_xb, drho_xb2, lam_y, lam_y2, dlam_y2, _ = terms
     y = 1.0 - rho_xb
     lp1 = model.l_prime_at_one()
-
-    drho_xb, drho_xb2 = model.rho(np.array([xbar, xbar * xbar]), 1).tolist()
-    lam_y, lam_y2 = model.lam(np.array([y, y * y])).tolist()
-    dlam_y2 = model.lam(y * y, 1)
 
     num_text = (
         rho_xb**2

@@ -154,6 +154,16 @@ class TestExitCodes:
             "plateaus", "budgets = 6e4, 8e4, 1e5, 1e5, 3e5, 6e5, 1e6, 3e6\n" + TASK,
             1, "strictly increasing",
         ),
+        # an infinite or NaN parameter is a bad value, not an OverflowError
+        "frontier_infinite_budget": (
+            "frontier", "budget_min = 1e21\nbudget_max = inf\nbudget_count = 5\n",
+            1, "C must be finite",
+        ),
+        "isoflop_infinite_budget": ("isoflop", "budgets = 1e21, inf\n", 1, "C must be finite"),
+        "frontier_nan_d_t": ("frontier", "budgets = 1e6, 1e7\nd_t = nan\n", 1, "d_t must be finite"),
+        "emergence_infinite_eta": (
+            "emergence", "budgets = 1e6, 1e7\neta_scale = inf\n" + TASK, 1, "must be finite",
+        ),
     }
 
     @pytest.mark.parametrize("name", FAILURES)

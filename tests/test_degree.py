@@ -123,6 +123,57 @@ class TestGeneratingFunctions:
         _, got = check(n[::500], np.nan)
         assert np.isnan(got).all()
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_plain_and_masked_paths_agree(self, order):
+        """Entries no exponent zeroes get the same bits from the plain exp
+        (an input with nothing to zero) as from the masked one (the same
+        entries beside one that underflows), subnormal values included, for
+        1-D and 0-d inputs."""
+        n, p = 2000.0, 0.5
+        band = 1.0 + np.expm1(np.linspace(-745.0, -700.0, 181) / (n - order)) / p
+        clean = np.concatenate((band, np.linspace(0.4, 1.0, 257)))
+        clean = clean[log_gen(n - order, p, clean) >= -745.0]
+        assert clean.size > 400
+        plain = binomial_gen(n, p, clean, order)
+        masked = binomial_gen(n, p, np.append(clean, 0.0), order)
+        assert masked[-1] == 0.0 and not np.signbit(masked[-1])
+        assert plain.shape == clean.shape
+        assert plain.tobytes() == masked[:-1].tobytes()
+        assert ((plain > 0.0) & (plain < np.finfo(float).tiny)).any()
+        for k in (0, 90, clean.size - 1):
+            got = binomial_gen(n, p, float(clean[k]), order)
+            assert isinstance(got, np.ndarray) and got.ndim == 0
+            assert got.tobytes() == plain[k].tobytes()
+        for x in (0.0, math.nan):  # a 0-d zeroed entry, and NaN on the plain path
+            got = binomial_gen(n, p, x, order)
+            assert isinstance(got, np.ndarray) and got.ndim == 0
+            assert (got == 0.0 and not np.signbit(got)) if x == 0.0 else np.isnan(got)
+
+    @pytest.mark.parametrize("mode", ["exact_log", "poisson_limit"])
+    def test_float_input_matches_the_array_path(self, mode):
+        """A float x (np.float64 included) returns a float with the bits of
+        the same x inside an array, across the underflow band and for NaN."""
+        models = [
+            DegreeModel(R=100, T=200, d_t=6.0, eval_mode=mode),
+            DegreeModel(R=10**6, T=10**6, d_t=1000.0, eval_mode=mode),
+            DegreeModel(R=14545, T=71616, d_t=6.0, eval_mode=mode),
+        ]
+        rng = np.random.default_rng(7)
+        for m in models:
+            for which in ("L", "lam", "P", "rho"):
+                n = m._exponent(which)
+                # x where the order-0 exponent n*log1p(p*(x - 1)) runs from -800 to -700
+                band = 1.0 + np.expm1(np.linspace(-800.0, -700.0, 41) / n) / m.p
+                xs = np.concatenate((band, rng.uniform(0.0, 1.0, 40), [0.0, 1.0, math.nan]))
+                for order in (0, 1, 2):
+                    want = m.gen(which, xs, order)
+                    for k, x in enumerate(xs.tolist()):
+                        for scalar in (x, np.float64(x)):
+                            got = m.gen(which, scalar, order)
+                            assert type(got) is float
+                            assert np.float64(got).tobytes() == want[k].tobytes(), (which, order, x)
+                    assert m.gen(which, np.array(xs[3]), order) == want[3]
+
     def test_vector_input_round_trip(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)
         xs = np.linspace(0.0, 1.0, 7)

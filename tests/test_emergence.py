@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
+from scaling_lens import emergence
 from scaling_lens.emergence import (
     DegenerateBound,
     EmergenceCurve,
+    LevelRow,
     SkillHierarchy,
     TaskSpec,
     TooFewPoints,
@@ -282,6 +284,92 @@ class TestLevelRecursion:
         else:
             assert warned and all(c is DegenerateBound for c, _, _ in warned)
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # gamma falls to 0 at level 26 and stays there
+            (SkillHierarchy.exponential_thresholds(100, 1000), 14545, 71616),
+            # a sigma = 0 level above a dead one starts again from gamma = 1
+            (
+                SkillHierarchy(
+                    S=(50,) * 6,
+                    eta=(2.0, 3000.0, 2.0, 2.0, 3000.0, 2.0),
+                    sigma=(0.0, 1.0, 1.0, 0.0, 1.5, 2.0),
+                ),
+                2000,
+                40000,
+            ),
+            # eta >= binom(40, 2) = 780 at levels 4 and 6, above the dead level 2
+            (
+                SkillHierarchy(
+                    S=(5,) * 6,
+                    eta=(1.0, 700.0, 10.0, 900.0, 3.0, 780.0),
+                    sigma=(0.0, 1.0, 1.0, 1.0, 1.0, 0.5),
+                ),
+                40,
+                400,
+            ),
+        ],
+        ids=["frontier", "revived_level", "degenerate_in_tail"],
+    )
+    def test_zero_tail_matches_every_level_evaluated(self, case):
+        """Skipping the levels above a dead one gives the rows and warnings
+        of a loop that calls skill_link_prob and gcc_fraction on every level."""
+        h, R, T = case
+
+        def reference():
+            gamma, rows = 1.0, []
+            for i, (S, eta, sigma) in enumerate(zip(h.S, h.eta, h.sigma)):
+                p_rr = concept_pair_prob(R, T, 6.0, S)
+                p_link = skill_link_prob(R, p_rr, eta, sigma, gamma)
+                gamma = gcc_fraction(p_link * S)
+                rows.append(LevelRow(i + 1, p_rr, p_link, p_link * S, gamma))
+            return rows
+
+        def run(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn()
+            return out, [(w.category, str(w.message)) for w in caught]
+
+        (gammas, rows), warned = run(lambda: level_recursion_detail(h, R, T, 6.0))
+        want, want_warned = run(reference)
+
+        def bits(rows):
+            return np.array([[r.level, r.p_rr, r.p_link, r.mean_degree, r.gamma] for r in rows])
+
+        assert bits(rows).tobytes() == bits(want).tobytes()
+        assert gammas.tobytes() == np.array([r.gamma for r in want]).tobytes()
+        assert warned == want_warned
+        dead = [r.gamma == 0.0 for r in want]
+        tail = [dead[i - 1] and h.sigma[i] > 0 for i in range(1, h.L)]
+        assert any(tail)
+        if R == 40:
+            assert len(warned) == 2
+        if R == 2000:
+            assert dead == [False, True, True, False, True, True]
+
+    def test_level_work_is_pinned(self, monkeypatch):
+        """At the 5 benchmark frontier optima the recursions call
+        skill_link_prob 237 times, not once per level (500): the levels
+        above the first dead one cost no link bound."""
+        specs = [
+            BudgetSpec(C=float(c), varsigma=2e5, tau=8e5, d_t=6.0, epsilon=0.5)
+            for c in np.geomspace(1e21, 1e25, 5)
+        ]
+        opts = [optimize_budget(s) for s in specs]
+        h = SkillHierarchy.exponential_thresholds(100, 1000, eta_scale=7.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return skill_link_prob(*args)
+
+        monkeypatch.setattr(emergence, "skill_link_prob", counted)
+        for opt in opts:
+            level_recursion(h, opt.R_star, opt.T_star, 6.0)
+        assert len(calls) == 237
+
     def test_hierarchy_validation(self):
         with pytest.raises(ValueError):
             SkillHierarchy(S=(10, 10), eta=(1.0,), sigma=(0.0, 1.0))
@@ -290,8 +378,24 @@ class TestLevelRecursion:
         with pytest.raises(ValueError):
             SkillHierarchy(S=(1,), eta=(1.0,), sigma=(0.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_hierarchy_rejects_non_finite(self, bad):
+        """A NaN eta or sigma used to give gamma = 0 at its level without a word."""
+        with pytest.raises(ValueError, match="finite"):
+            SkillHierarchy(S=(10, 10), eta=(1.0, bad), sigma=(0.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            SkillHierarchy(S=(10, 10), eta=(1.0, 2.0), sigma=(0.0, bad))
+
 
 class TestTaskAccuracy:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_task_rejects_non_finite_weights(self, bad):
+        """abs(nan - 1) > 1e-12 is False, so the sum check let NaN through."""
+        with pytest.raises(ValueError, match="finite"):
+            TaskSpec(weights={(1, 1): 1.0, (2, 1): bad})
+        with pytest.raises(ValueError, match="finite"):
+            TaskSpec(weights={(1, 1): bad})
+
     def test_fully_usable_skills(self):
         task = TaskSpec.product({1: 0.5, 2: 0.5}, {2: 0.5, 3: 0.5})
         assert task_accuracy(np.ones(2), task) == 1.0
@@ -364,6 +468,8 @@ class TestTaskMixtureBinomial:
             task_mixture_binomial(10, (0.2, 0.6))  # missing weights
         with pytest.raises(ValueError):
             task_mixture_binomial(10, 1.5)
+        with pytest.raises(ValueError, match="finite"):
+            task_mixture_binomial(10, (0.2, 0.6), (math.nan, 1.0))
 
 
 class TestAccuracyVsCompute:

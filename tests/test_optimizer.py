@@ -40,6 +40,13 @@ class TestBudgetSpec:
         with pytest.raises(ValueError):
             BudgetSpec(C=1.0)  # C' would be 1/6
 
+    @pytest.mark.parametrize("field", ["C", "varsigma", "tau", "d_t", "epsilon"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, field, bad):
+        """An infinite budget used to pass and overflow in int(C')."""
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BudgetSpec(**{"C": 1e6, field: bad})
+
 
 class TestExpectedLearned:
     def test_data_rich_regime_learns_everything(self):

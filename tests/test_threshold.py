@@ -553,6 +553,45 @@ class TestScalingAlpha:
             scaling_alpha(pair, 0.9, 1.0)
 
 
+def gen_call_terms(model, x_star):
+    """The tangent terms by one array-path generating-function call per
+    function and order, as the solver evaluated them before the terms
+    shared their log terms."""
+    xbar = 1.0 - x_star
+    pair = np.array([xbar, xbar * xbar])
+    rho_xb, rho_xb2 = model.rho(pair).tolist()
+    drho_xb, drho_xb2 = model.rho(pair, 1).tolist()
+    y = 1.0 - rho_xb
+    lam_y, lam_y2 = model.lam(np.array([y, y * y])).tolist()
+    dlam_y2 = model.lam(np.array([y * y]), 1)[0]
+    l_y = model.L(np.array([y]))[0]
+    return rho_xb, rho_xb2, drho_xb, drho_xb2, lam_y, lam_y2, dlam_y2, l_y
+
+
+class TestTangentTerms:
+    MODELS = {
+        "frontier_optimum": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0),
+        "frontier_poisson": DegreeModel(
+            R=FRONTIER_R, T=FRONTIER_T, d_t=6.0, eval_mode="poisson_limit"
+        ),
+        "junk_cut": DegreeModel(R=206, T=48, d_t=6.0),
+        "data_rich": DegreeModel(R=100, T=20000, d_t=6.0),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_terms_match_one_gen_call_each(self, name):
+        """Sharing one log term per point changes no bit of nu_star or alpha."""
+        model = self.MODELS[name]
+        sol = find_threshold(model)
+        assert sol.on_junk_cut == (name == "junk_cut")
+        want = gen_call_terms(model, sol.x_star)
+        got = threshold._tangent_terms(model, sol.x_star)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert sol.nu_star == sol.eps_star * want[-1]
+        alpha = threshold._alpha(model, sol.x_star, sol.eps_star, want)
+        assert sol.alpha == alpha == scaling_alpha(model, sol.x_star, sol.eps_star)
+
+
 @pytest.fixture(scope="module")
 def near_threshold_mc():
     """One shared 1000-trial parent-graph run near the operating point."""
