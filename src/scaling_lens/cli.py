@@ -3,9 +3,11 @@
 Each subcommand reads a flat `key = value` config (strict: unknown keys
 are rejected with the offending line number), runs one pipeline, and
 writes a data file plus a `<out>.meta.json` sidecar recording the fully
-resolved parameters, seed, package version, wall time, and any solver
-warnings.  Data files are byte-identical for identical (config, seed)
-regardless of thread count; the sidecar is not (it carries wall time).
+resolved parameters, package version, wall time, any solver warnings,
+and for Monte Carlo the seed and trial count.  A `--<key>` flag
+overrides a key and is checked as a config line is.  Data files are
+byte-identical for identical (config, seed) regardless of thread
+count; the sidecar is not (it carries wall time).
 
 Exit codes: 0 success; 1 invalid configuration: a bad key, value or
 parameter combination, reported with its config line where there is one;
@@ -62,12 +64,16 @@ _REQUIRED = object()
 # (type, default); _REQUIRED means the config must provide the key.
 # Types: int, float, str, bool, floats (comma list), enum:a|b.
 _COMMON_KEYS = {
-    "seed": ("int", 0),
-    "trials": ("int", 1000),
     "out": ("str", None),
     "format": ("enum:csv|json", "csv"),
+}
+_MC_KEYS = {  # only peel-sim samples graphs
+    "seed": ("int", 0),
+    "trials": ("int", 1000),
     "threads": ("int", None),
 }
+# a --<key> flag overrides these keys, in the commands that have them
+_FLAG_KEYS = _COMMON_KEYS.keys() | _MC_KEYS.keys()
 
 _BUDGET_KEYS = {
     "budgets": ("floats", None),
@@ -109,6 +115,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "d_t": ("float", _REQUIRED),
         "epsilon": ("float", 0.5),
         "mode": ("enum:learned|parent-erasure", "learned"),
+        **_MC_KEYS,
     },
     "isoflop": {
         **_BUDGET_KEYS,
@@ -545,14 +552,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scaling-lens", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _RUNNERS:
+    for command, schema in SCHEMAS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for key in [k for k in schema if k in _FLAG_KEYS]:
+            p.add_argument(f"--{key}")  # a string, which main converts
     return parser
 
 
@@ -588,14 +592,14 @@ def run(command: str, params: dict) -> int:
         "resolved_params": {
             k: params[k] for k in sorted(params) if k != "out"
         },
-        "seed": params["seed"],
-        "trials": params["trials"],
         "out": out_path,
         "rows": len(rows),
         "wall_time_s": round(time.time() - started, 6),
         "warnings": notes,
         **extras,
     }
+    if "seed" in params:  # a Monte-Carlo run
+        meta.update(seed=params["seed"], trials=params["trials"])
     try:
         with open(out_path, "wb") as fh:
             fh.write(data)
@@ -610,16 +614,18 @@ def run(command: str, params: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    schema = SCHEMAS[args.command]
+    where = args.config
     try:
         params = parse_config(args.config, args.command)
+        where = "command line"
+        for key, raw in vars(args).items():
+            if key in schema and raw is not None:
+                params[key] = _convert(schema[key][0], raw, key, None)
     except ConfigError as exc:
-        loc = f"{args.config}:{exc.line}: " if exc.line else f"{args.config}: "
+        loc = f"{where}:{exc.line}: " if exc.line else f"{where}: "
         print(f"scaling-lens {args.command}: {loc}{exc}", file=sys.stderr)
         return 1
-    for key in ("seed", "trials", "out", "format", "threads"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
     return run(args.command, params)
 
 

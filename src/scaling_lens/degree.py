@@ -1,4 +1,4 @@
-"""Degree-distribution model for random bipartite text/concept graphs.
+"""Degree-distribution ensembles for random bipartite text/concept graphs.
 
 Texts connect to concepts independently with probability ``p = d_t / R``,
 so node degrees are binomial on both sides.  All analysis routines consume
@@ -19,6 +19,15 @@ Everything is evaluated in log space as ``exp(n * log1p(p*(x-1)))`` so
 that huge exponents (``T`` up to 1e12 and beyond) stay finite.  The
 ``poisson_limit`` mode replaces each function by ``exp(-d*(1-x))`` with
 the matching mean degree ``d = n*p``.
+
+The threshold solver reads an ensemble only through this interface,
+which DegreeModel and PolynomialPair (a classical pair such as (3,6),
+given by coefficients) both answer: ``gen(which, x, order)`` for
+``which`` in L, lam, rho and ``order`` 0-2 at a float or an array, with
+the shorthands ``L``, ``lam`` and ``rho``; ``_gen_at(x, terms)``, several
+``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at one
+float; ``integral(which)`` of lam or rho over [0, 1]; and
+``l_prime_at_one()``, the mean concept degree L'(1).
 """
 
 from __future__ import annotations
@@ -39,8 +48,28 @@ __all__ = [
 _LOG_UNDERFLOW = -745.0
 
 
+class _Ensemble:
+    """What both ensembles derive from gen: the shorthands, _gen_at and g."""
+
+    def L(self, x, order: int = 0):
+        return self.gen("L", x, order)
+
+    def lam(self, x, order: int = 0):
+        return self.gen("lam", x, order)
+
+    def rho(self, x, order: int = 0):
+        return self.gen("rho", x, order)
+
+    def _gen_at(self, x: float, terms) -> list[float]:
+        return [self.gen(which, x, order) for which, order in terms]
+
+    def g(self, x: float) -> float:
+        """g(x) = lam(1 - rho(1 - x)) at one float x."""
+        return self.lam(1.0 - self.rho(1.0 - x))
+
+
 @dataclass(frozen=True)
-class DegreeModel:
+class DegreeModel(_Ensemble):
     """Binomial bipartite ensemble with R concepts, T texts, mean text degree d_t.
 
     Parameters
@@ -66,8 +95,9 @@ class DegreeModel:
     eval_mode: str = "exact_log"
 
     def __post_init__(self):
-        if self.R < 1 or self.T < 1:
-            raise ValueError(f"R and T must be >= 1, got R={self.R}, T={self.T}")
+        # each check is written so that NaN fails it
+        if not (1 <= self.R < math.inf and 1 <= self.T < math.inf):
+            raise ValueError(f"R and T must be finite and >= 1, got R={self.R}, T={self.T}")
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if not (0.0 < self.d_t < self.R):
@@ -82,11 +112,6 @@ class DegreeModel:
     def p(self) -> float:
         """Edge probability d_t / R."""
         return self.d_t / self.R
-
-    @property
-    def d_r(self) -> float:
-        """Mean concept degree d_t * T / R."""
-        return self.d_t * self.T / self.R
 
     def _exponent(self, which: str) -> float:
         if which == "L":
@@ -129,47 +154,45 @@ class DegreeModel:
         the last bit on a few percent of exp and log1p inputs.
         """
         if self.eval_mode == "poisson_limit":
-            return [self.gen(which, np.asarray(x), order) for which, order in terms]
+            return super()._gen_at(x, terms)
         p = self.p
         base = np.log1p(p * (x - 1.0))
         return [_binomial_at(self._exponent(w), p, base, order) for w, order in terms]
 
-    # Shorthands used throughout the threshold solver.
-    def L(self, x, order: int = 0):
-        return self.gen("L", x, order)
+    def g(self, x: float) -> float:
+        """g(x) at one float x in straight-line math code, for the DE orbits.
 
-    def lam(self, x, order: int = 0):
-        return self.gen("lam", x, order)
+        math's bits can differ from the array path's in the last place.
+        """
+        p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, float(self.T - 1)
+        x_rho = 1.0 - x  # p*(x_rho - 1) and p*(-x) can differ in the last bit
+        if self.eval_mode == "poisson_limit":
+            y = 1.0 - math.exp(-n_rho * p * (1.0 - x_rho))
+            return math.exp(-n_lam * p * (1.0 - y))
+        e = n_rho * math.log1p(p * (x_rho - 1.0))
+        y = 1.0 - (0.0 if e < _LOG_UNDERFLOW else math.exp(e))
+        e = n_lam * math.log1p(p * (y - 1.0))
+        return 0.0 if e < _LOG_UNDERFLOW else math.exp(e)
 
-    def P(self, x, order: int = 0):
-        return self.gen("P", x, order)
-
-    def rho(self, x, order: int = 0):
-        return self.gen("rho", x, order)
+    def integral(self, which: str) -> float:
+        """Integral of lam or rho over [0, 1]: (1 - (1 - p)**n)/(n*p) in log
+        space, n the node exponent T or R/eps; (1 - exp(-d))/d in
+        poisson_limit mode, d = (n - 1)*p."""
+        if which not in ("lam", "rho"):
+            raise ValueError(f"integral is defined for 'lam' and 'rho', got {which!r}")
+        if self.eval_mode == "poisson_limit":
+            d = self._exponent(which) * self.p
+            return -math.expm1(-d) / d if d > 0.0 else 1.0
+        n = float(self.T) if which == "lam" else self.R / self.epsilon
+        return float(-np.expm1(n * np.log1p(-self.p)) / (n * self.p))
 
     def l_prime_at_one(self) -> float:
         """L'(1) = T*p, the mean concept degree, computed analytically."""
         return self.T * self.p
 
-    # Scalar fast paths for fixed-point iteration loops.  Same math as
-    # gen(..., order=0) but without ndarray dispatch overhead.
-    def _scalar_lam(self, x: float) -> float:
-        n = float(self.T - 1)
-        if self.eval_mode == "poisson_limit":
-            return math.exp(-n * self.p * (1.0 - x))
-        e = n * math.log1p(self.p * (x - 1.0))
-        return 0.0 if e < _LOG_UNDERFLOW else math.exp(e)
-
-    def _scalar_rho(self, x: float) -> float:
-        n = self.R / self.epsilon - 1.0
-        if self.eval_mode == "poisson_limit":
-            return math.exp(-n * self.p * (1.0 - x))
-        e = n * math.log1p(self.p * (x - 1.0))
-        return 0.0 if e < _LOG_UNDERFLOW else math.exp(e)
-
 
 @dataclass(frozen=True)
-class PolynomialPair:
+class PolynomialPair(_Ensemble):
     """Classical polynomial degree-distribution pair, for solver validation.
 
     ``lam_coeffs[i]`` and ``rho_coeffs[i]`` are the coefficients of x**i in
@@ -186,15 +209,25 @@ class PolynomialPair:
         if not lam or not rho:
             raise ValueError("both coefficient lists must be non-empty")
         for name, coeffs in (("lam", lam), ("rho", rho)):
-            if any(c < 0 for c in coeffs):
-                raise ValueError(f"{name} coefficients must be nonnegative")
+            if not all(0.0 <= c < math.inf for c in coeffs):
+                raise ValueError(f"{name} coefficients must be finite and nonnegative")
             if abs(sum(coeffs) - 1.0) > 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1, got {sum(coeffs)}")
         object.__setattr__(self, "lam_coeffs", lam)
         object.__setattr__(self, "rho_coeffs", rho)
 
-    @staticmethod
-    def _poly(coeffs, x, order):
+    def gen(self, which: str, x, order: int = 0):
+        """Evaluate lam, rho or L, or one of their first two derivatives."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        if which == "L":
+            # node perspective: integral of lam, normalized to L(1) = 1
+            total = self.integral("lam")
+            coeffs = (0.0,) + tuple(c / (i + 1) / total for i, c in enumerate(self.lam_coeffs))
+        elif which in ("lam", "rho"):
+            coeffs = getattr(self, which + "_coeffs")
+        else:
+            raise ValueError(f"unknown generating function {which!r}; expected L, lam or rho")
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         for i, c in enumerate(coeffs):
@@ -207,33 +240,14 @@ class PolynomialPair:
                 out = out + c * k * x ** max(i - order, 0)
         return float(out) if out.ndim == 0 else out
 
-    def lam(self, x, order: int = 0):
-        return self._poly(self.lam_coeffs, x, order)
-
-    def rho(self, x, order: int = 0):
-        return self._poly(self.rho_coeffs, x, order)
-
-    def L(self, x, order: int = 0):
-        # node perspective: integral of lam, normalized to L(1) = 1
-        node = tuple(c / (i + 1) for i, c in enumerate(self.lam_coeffs))
-        total = sum(node)
-        shifted = (0.0,) + tuple(c / total for c in node)
-        return self._poly(shifted, x, order)
-
-    def lam_integral(self) -> float:
-        return sum(c / (i + 1) for i, c in enumerate(self.lam_coeffs))
-
-    def rho_integral(self) -> float:
-        return sum(c / (i + 1) for i, c in enumerate(self.rho_coeffs))
+    def integral(self, which: str) -> float:
+        """Integral of lam or rho over [0, 1]: the sum of c_i/(i + 1)."""
+        if which not in ("lam", "rho"):
+            raise ValueError(f"integral is defined for 'lam' and 'rho', got {which!r}")
+        return sum(c / (i + 1) for i, c in enumerate(getattr(self, which + "_coeffs")))
 
     def l_prime_at_one(self) -> float:
-        return 1.0 / self.lam_integral()
-
-    def _gen_at(self, x: float, terms) -> list[float]:
-        return [getattr(self, which)(x, order) for which, order in terms]
-
-    _scalar_lam = lam
-    _scalar_rho = rho
+        return 1.0 / self.integral("lam")
 
 
 def log_gen(n, p, x):

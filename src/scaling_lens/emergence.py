@@ -317,7 +317,7 @@ def gcc_fraction(mean_degree: float) -> float:
     Newton-polished to residual < 1e-12.
     """
     c = float(mean_degree)
-    if c < 0:
+    if not c >= 0:  # NaN fails it
         raise ValueError(f"mean degree must be nonnegative, got {c}")
     if c <= 1.0:
         return 0.0

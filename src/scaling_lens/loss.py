@@ -67,12 +67,13 @@ class FrontierRow:
 
 def training_error_exact(R: int, d_t: float, P_b: float) -> float:
     """Probability a text keeps >= 2 unlearned concepts, closed form."""
-    if R < 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    # each check is written so that NaN fails it
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
     if not 0.0 <= P_b <= 1.0:
         raise ValueError(f"P_b must lie in [0, 1], got {P_b}")
-    if d_t < 0:
-        raise ValueError(f"d_t must be nonnegative, got {d_t}")
+    if not 0 <= d_t < math.inf:
+        raise ValueError(f"d_t must be finite and nonnegative, got {d_t}")
     x = d_t * P_b / R
     if x > 1.0:
         raise ValueError(
@@ -109,7 +110,10 @@ def excess_entropy_lb(P_e_train: float) -> float:
 
 def loss_point(P_b_raw: float, R: int, d_t: float, epsilon: float) -> LossPoint:
     """Bundle the per-concept rate with both error forms and the bound."""
-    p_b = min(1.0, max(0.0, P_b_raw / epsilon))
+    p_b = P_b_raw / epsilon
+    if math.isnan(p_b):  # the clamp below would turn NaN into 0
+        raise ValueError(f"P_b_raw / epsilon is NaN for P_b_raw={P_b_raw}, epsilon={epsilon}")
+    p_b = min(1.0, max(0.0, p_b))
     exact = training_error_exact(R, d_t, p_b)
     return LossPoint(
         P_b=p_b,

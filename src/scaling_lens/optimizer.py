@@ -10,21 +10,13 @@ R * (1 - P_b/epsilon), with P_b the post-peeling erasure rate that
 threshold.bit_erasure_rate gives.
 
 The optimizer's scan rules most rows out without a threshold solve, by
-a closed-form bound on each row's objective.  The rate is never below
-the DE rate, and the DE orbit from x = 1 stalls above every x with
-f(x) >= x (Richardson & Urbanke, Modern Coding Theory, 2008): with x_s
-the largest such x in a 64-point sample of the solver's x grid, every
-row's objective is at most R*(1 - L(1 - rho(1 - x_s))), and at x_s = 0
-it is R*(1 - L(0)), the mass of concepts no text covers.  Up to
-threshold the bound rests on the sample lying on the solver's grid,
-which puts every sampled x with f(x) >= x on the trivial branch or
-below it.  The one case the argument leaves to measurement is a
-find_threshold call that stops at MAX_CUT_PASSES; none did in sweeps
-of over 100k rows.  Rows are solved in descending bound order until the
-bound falls below the best value found, which returns the full scan's
-argmax; near the optimum the stall bound is tight, so one or two rows
-are solved per frontier budget.  isoflop_curve returns every point and
-so evaluates the whole grid.
+a closed-form upper bound on each row's objective from the point where
+the DE orbit must stall; _row_bounds states it and why it holds.  Rows
+are solved in descending bound order until the bound falls below the
+best value found, which returns the full scan's argmax; near the
+optimum the stall bound is tight, so one or two rows are solved per
+frontier budget.  isoflop_curve returns every point and so evaluates
+the whole grid.
 """
 
 from __future__ import annotations
@@ -238,8 +230,9 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
 
     bit_erasure_rate is at least the DE rate eps*L(1 - rho(1 - x_inf)),
     x_inf the end of the DE orbit from x = 1.  That orbit never falls
-    below an x with f(x) >= x, i.e. with x/g(x) <= eps, so with x_s the
-    largest such x of STALL_SAMPLE (0 if none) the objective is at most
+    below an x with f(x) >= x, i.e. with x/g(x) <= eps (Richardson &
+    Urbanke, Modern Coding Theory, 2008), so with x_s the largest such x
+    of STALL_SAMPLE (0 if none) the objective is at most
     R*(1 - L(1 - rho(1 - x_s))); at x_s = 0 that is R*(1 - L(0)), the mass
     of concepts no text covers.  Up to threshold the rate takes x_inf on
     the trivial branch, reached from x = 0, so there the bound needs x_s
@@ -249,8 +242,8 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     x/g(x) below eps, and below the cut the trivial branch is the only
     fixed point, as the cut itself assumes.  The relative slacks 1e-6 on
     eps and 1e-9 on the product absorb roundoff.  The argument fails only
-    for a solve that stops at MAX_CUT_PASSES, which never happened in the
-    bound sweeps.
+    for a solve that stops at MAX_CUT_PASSES, which none did in sweeps of
+    over 100k rows.
     """
     c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
     xs = STALL_SAMPLE
@@ -294,11 +287,8 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     golden-section refinement on log R around the best grid point;
     evaluation always happens at integer (R, T).  The scan solves rows in
     descending order of _row_bounds and stops once the bound falls below
-    the best value so far.  The bound is R*(1 - L(1 - rho(1 - x_s))),
-    x_s the largest sampled x where the DE orbit from x = 1 must stall,
-    as bit_erasure_rate is never below the DE rate.  It holds unless a
-    threshold solve stops at MAX_CUT_PASSES.  The scan picks the same
-    point as a full scan, the smallest R among ties.
+    the best value so far; see _row_bounds for why the bound holds.  The
+    scan picks the same point as a full scan, the smallest R among ties.
     Budgets with at most EXHAUSTIVE_LIMIT feasible R scan every integer R
     and skip the refinement.  The scan and the refinement share one
     memoized objective, so the refinement reuses the scan's solves.

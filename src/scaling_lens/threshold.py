@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeModel, PolynomialPair
+from .degree import DegreeModel
 
 __all__ = [
     "ThresholdSolution",
@@ -111,10 +111,6 @@ def de_map(model, x, eps):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _scalar_de(model, x: float, eps: float) -> float:
-    return eps * model._scalar_lam(1.0 - model._scalar_rho(1.0 - x))
-
-
 def _iterate(
     model,
     eps: float,
@@ -131,7 +127,7 @@ def _iterate(
     """
     x = x0
     for _ in range(max_iter):
-        x_next = _scalar_de(model, x, eps)
+        x_next = eps * model.g(x)
         if x_next <= stop_below or x_next >= stop_above:
             return x_next
         if abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
@@ -184,11 +180,11 @@ def _ratio(model, x):
 def _junk_cut(model, eps: float) -> float:
     """Lower end of the x range find_threshold minimizes x/g(x) over at eps."""
     # the junk fixed point stays within a small factor of its seed
-    # eps*lam(0) while genuinely separated; an orbit that climbs past
-    # 4x the seed has merged with a real fixed point, so the cut must
-    # not exclude it; once 2*x reaches the cap the cut is the cap, so
-    # the orbit stops there
-    junk_cap = 4.0 * eps * model._scalar_lam(0.0) + X_GRID_LO
+    # eps*g(0) = eps*lam(0) while genuinely separated; an orbit that
+    # climbs past 4x the seed has merged with a real fixed point, so the
+    # cut must not exclude it; once 2*x reaches the cap the cut is the
+    # cap, so the orbit stops there
+    junk_cap = 4.0 * eps * model.g(0.0) + X_GRID_LO
     x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
     return max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
 
@@ -239,8 +235,8 @@ def find_threshold(model) -> ThresholdSolution:
     cut does not decrease with eps, and stops in two passes when the
     minimizer lies above the cut.  On the cut it would converge only
     linearly, so there eps - m(eps) = 0 is solved by secant steps, then
-    false position once bracketed.  Works for DegreeModel and for
-    PolynomialPair (classical ensembles given by coefficient lists).
+    false position once bracketed.  Works for any ensemble that answers
+    the interface listed in the degree module's docstring.
 
     The threshold is defined over the whole range 0 <= eps <= 1, so the
     solve needs no bracket.  If no fixed point exists even at eps = 1 the
@@ -329,27 +325,8 @@ def _tangent_terms(model, x_star: float):
 
 
 def matching_upper_bound(model) -> float:
-    """Threshold upper bound from edge matching: integral of rho over integral of lam.
-
-    A binomial function (p*x + 1-p)**(n-1) integrates over [0, 1] to
-    (1 - (1-p)**n)/(n*p), evaluated in log space.  In poisson_limit mode
-    each function is exp(-d*(1 - x)) with d = n*p, whose integral is
-    (1 - exp(-d))/d.
-    """
-    if isinstance(model, PolynomialPair):
-        return model.rho_integral() / model.lam_integral()
-    if model.eval_mode == "poisson_limit":
-        def integral(which):
-            d = model._exponent(which) * model.p
-            return -math.expm1(-d) / d if d > 0.0 else 1.0
-
-        return integral("rho") / integral("lam")
-    p = model.p
-
-    def integral(n):
-        return -np.expm1(n * np.log1p(-p)) / (n * p)
-
-    return float(integral(model.R / model.epsilon) / integral(model.T))
+    """Threshold upper bound from edge matching: integral of rho over integral of lam."""
+    return model.integral("rho") / model.integral("lam")
 
 
 def scaling_alpha(model, x_star: float, eps_star: float) -> float:

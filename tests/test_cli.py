@@ -274,6 +274,25 @@ class TestPeelSimCommand:
         assert meta["seed"] == 9
         assert meta["rows"] == 12
 
+    @pytest.mark.parametrize(
+        "key, raw, kind",
+        [("seed", "1.5", "int"), ("trials", "many", "int"), ("threads", "abc", "int"),
+         ("format", "xml", "enum:csv|json")],
+    )
+    def test_flag_is_checked_as_a_config_line(self, key, raw, kind, tmp_path, capsys):
+        """A bad flag value and the same value on a config line fail with
+        exit 1 and the same message, and nothing is written."""
+        message = f"invalid value '{raw}' for key '{key}' (expected {kind})"
+        cfg = write_config(tmp_path, self.CFG)
+        assert run_cli(["peel-sim", "--config", cfg, f"--{key}", raw]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "command line" in err and err.count("\n") == 1
+        lines = [line for line in self.CFG.splitlines() if not line.startswith(key)]
+        cfg = write_config(tmp_path, "\n".join(lines + [f"{key} = {raw}"]) + "\n")
+        assert run_cli(["peel-sim", "--config", cfg]) == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
+
     def test_seed_changes_data(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, self.CFG)
@@ -369,6 +388,21 @@ class TestBudgetCommands:
         meta = json.loads((tmp_path / "f3.csv.meta.json").read_text())
         assert "scaling_fit" not in meta
         assert any("fewer than 5 budgets" in w for w in meta["warnings"])
+        # no Monte Carlo, so no seed or trial count
+        assert not {"seed", "trials", "threads"} & (set(meta) | set(meta["resolved_params"]))
+
+    @pytest.mark.parametrize("key", ["seed", "trials", "threads"])
+    def test_monte_carlo_keys_are_peel_sim_only(self, key, tmp_path, capsys):
+        """Of the commands only peel-sim reads them, so elsewhere the flag
+        and the config key are errors, not settings that do nothing."""
+        cfg = write_config(tmp_path, "budgets = 6e4, 6e5\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["frontier", "--config", cfg, f"--{key}", "3"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        cfg = write_config(tmp_path, f"budgets = 6e4, 6e5\n{key} = 3\n")
+        assert run_cli(["frontier", "--config", cfg]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_loss_flags_constant_discrepancy(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

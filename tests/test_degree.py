@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from scaling_lens.degree import (
     DegreeModel,
@@ -33,6 +34,15 @@ class TestModelValidation:
     def test_rejects_unknown_eval_mode(self):
         with pytest.raises(ValueError):
             DegreeModel(R=10, T=10, d_t=2.0, eval_mode="taylor")
+
+    @pytest.mark.parametrize(
+        "R, T", [(1000, math.nan), (1000, math.inf), (math.nan, 4500), (math.inf, 4500)]
+    )
+    def test_rejects_non_finite_sizes(self, R, T):
+        """NaN and inf fail every comparison a size check could make, so
+        each check must be one that NaN fails, or the solve runs on NaN."""
+        with pytest.raises(ValueError, match="finite"):
+            DegreeModel(R=R, T=T, d_t=6.0)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
@@ -287,8 +297,75 @@ class TestPolynomialPair:
         with pytest.raises(ValueError):
             PolynomialPair(lam_coeffs=(), rho_coeffs=(1.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["lam_coeffs", "rho_coeffs"])
+    def test_rejects_non_finite_coefficients(self, side, bad):
+        coeffs = {"lam_coeffs": (0.0, 0.0, 1.0), "rho_coeffs": (0.0, 1.0)}
+        coeffs[side] = (bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PolynomialPair(**coeffs)
+
     def test_derivatives(self):
         pp = PolynomialPair(lam_coeffs=(0.0, 0.0, 1.0), rho_coeffs=(0.0, 0.0, 0.0, 1.0))
         assert pp.lam(0.5, order=1) == pytest.approx(1.0)  # d/dx x^2 = 2x
         assert pp.rho(1.0, order=1) == pytest.approx(3.0)  # d/dx x^3 = 3x^2
         assert pp.rho(1.0, order=2) == pytest.approx(6.0)
+
+
+ENSEMBLES = {
+    "exact_log": DegreeModel(R=100, T=200, d_t=6.0, epsilon=0.4),
+    "poisson_limit": DegreeModel(R=100, T=200, d_t=6.0, epsilon=0.4, eval_mode="poisson_limit"),
+    "pair_3_6": PolynomialPair(lam_coeffs=(0.0, 0.0, 1.0), rho_coeffs=(0.0,) * 5 + (1.0,)),
+    "pair_two_term": PolynomialPair(lam_coeffs=(0.0, 0.3, 0.7), rho_coeffs=(0.0,) * 3 + (0.6, 0.4)),
+}
+
+
+@pytest.mark.parametrize("name", ENSEMBLES)
+class TestEnsembleInterface:
+    """Both ensembles answer the interface the threshold solver reads, and
+    each part of it agrees with an independent evaluation of the others."""
+
+    XS = np.linspace(0.05, 0.95, 19)
+
+    def test_gen_derivatives_match_central_differences(self, name):
+        m, h = ENSEMBLES[name], 1e-5
+        for which in ("L", "lam", "rho"):
+            for order in (1, 2):
+                up, down = (m.gen(which, self.XS + s, order - 1) for s in (h, -h))
+                diff = (up - down) / (2 * h)
+                np.testing.assert_allclose(m.gen(which, self.XS, order), diff, rtol=1e-7, atol=1e-9)
+
+    def test_gen_takes_floats_and_arrays(self, name):
+        m = ENSEMBLES[name]
+        for which in ("L", "lam", "rho"):
+            for order in (0, 1, 2):
+                vec = m.gen(which, self.XS, order)
+                assert isinstance(vec, np.ndarray) and vec.shape == self.XS.shape
+                got = [m.gen(which, float(x), order) for x in self.XS]
+                assert all(type(v) is float for v in got)
+                np.testing.assert_allclose(got, vec, rtol=1e-15, atol=0)
+                assert m._gen_at(0.3, ((which, order),)) == [m.gen(which, 0.3, order)]
+        with pytest.raises(ValueError):
+            m.gen("lam", 0.5, order=3)
+        with pytest.raises(ValueError):
+            m.gen("Q", 0.5)
+
+    def test_integral_matches_quadrature(self, name):
+        m = ENSEMBLES[name]
+        for which in ("lam", "rho"):
+            want, _ = integrate.quad(lambda x: m.gen(which, x), 0.0, 1.0, epsabs=1e-13)
+            np.testing.assert_allclose(m.integral(which), want, rtol=1e-10)
+        with pytest.raises(ValueError):
+            m.integral("L")
+
+    def test_l_prime_at_one_is_the_derivative(self, name):
+        m = ENSEMBLES[name]
+        np.testing.assert_allclose(m.l_prime_at_one(), m.gen("L", 1.0, 1), rtol=1e-12)
+
+    def test_scalar_g_composes_lam_and_rho(self, name):
+        m = ENSEMBLES[name]
+        for x in [0.0, *self.XS.tolist(), 1.0]:
+            got = m.g(x)
+            assert type(got) is float
+            np.testing.assert_allclose(got, m.lam(1.0 - m.rho(1.0 - x)), rtol=1e-12, atol=0)
+        assert m.g(0.0) == m.lam(0.0)

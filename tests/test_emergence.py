@@ -220,6 +220,8 @@ class TestGccFraction:
     def test_validation(self):
         with pytest.raises(ValueError):
             gcc_fraction(-0.5)
+        with pytest.raises(ValueError):  # passed every check and gave 1.0
+            gcc_fraction(math.nan)
 
 
 class TestLevelRecursion:

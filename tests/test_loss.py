@@ -80,6 +80,15 @@ class TestTrainingErrorExact:
         with pytest.raises(ValueError):
             training_error_exact(10, 20.0, 0.6)  # mean exceeds concept count
 
+    @pytest.mark.parametrize(
+        "R, d_t", [(10, math.nan), (10, math.inf), (math.nan, 6.0), (math.inf, 6.0)]
+    )
+    def test_non_finite_inputs_rejected(self, R, d_t):
+        """Each gave a number: NaN passed every check, and the final clamp
+        turned the NaN result into 0."""
+        with pytest.raises(ValueError, match="finite"):
+            training_error_exact(R, d_t, 0.1)
+
 
 class TestTrainingErrorApprox:
     def test_zero(self):
@@ -142,6 +151,11 @@ class TestLossPoint:
     def test_rate_clamped_to_one(self):
         pt = loss_point(P_b_raw=0.9, R=200, d_t=6.0, epsilon=0.5)
         assert pt.P_b == 1.0
+
+    def test_nan_rate_rejected(self):
+        """The clamp to [0, 1] would turn a NaN rate into P_b = 0."""
+        with pytest.raises(ValueError, match="NaN"):
+            loss_point(math.nan, 10, 6.0, 0.5)
 
 
 @pytest.fixture(scope="module")

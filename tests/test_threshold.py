@@ -2,7 +2,9 @@
 
 import logging
 import math
+import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -457,6 +459,23 @@ class TestMatchingUpperBound:
     def test_polynomial_pair_closed_form(self):
         # int x^5 = 1/6, int x^2 = 1/3
         assert matching_upper_bound(PAIR_36) == pytest.approx(0.5, abs=1e-14)
+
+    def test_bits_are_pinned(self):
+        """The model of configs/threshold_rate_half.txt, in both evaluation
+        modes, and the (3,6) pair keep these exact values."""
+        m = DegreeModel(R=1000, T=4500, d_t=6.0, epsilon=0.5)
+        assert matching_upper_bound(m) == float.fromhex("0x1.1fff9026105c3p+1")
+        mp = DegreeModel(R=1000, T=4500, d_t=6.0, epsilon=0.5, eval_mode="poisson_limit")
+        assert matching_upper_bound(mp) == float.fromhex("0x1.201408cde91c9p+1")
+        assert matching_upper_bound(PAIR_36) == 0.5
+
+    def test_solver_reads_ensembles_only_through_their_interface(self):
+        """threshold.py neither branches on the ensemble's type or mode nor
+        reads its exponents or edge probability: degree.py owns those."""
+        src = Path(threshold.__file__).read_text(encoding="utf-8")
+        for word in ("isinstance", "eval_mode", "_exponent", "PolynomialPair"):
+            assert word not in src
+        assert not re.search(r"model\.p\b", src)
 
     def test_bounds_every_solved_threshold(self):
         rng = np.random.default_rng(7)
