@@ -25,9 +25,12 @@ which DegreeModel and PolynomialPair (a classical pair such as (3,6),
 given by coefficients) both answer: ``gen(which, x, order)`` for
 ``which`` in L, lam, rho and ``order`` 0-2 at a float or an array, with
 the shorthands ``L``, ``lam`` and ``rho``; ``_gen_at(x, terms)``, several
-``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at one
-float; ``integral(which)`` of lam or rho over [0, 1]; and
+``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at a
+float or an array; ``integral(which)`` of lam or rho over [0, 1]; and
 ``l_prime_at_one()``, the mean concept degree L'(1).
+
+BinomialRows holds many (R, T) rows at once for the optimizer's row
+bounds.  It shares DegreeModel's exponents and exact_log array paths.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BinomialRows",
     "DegreeModel",
     "PolynomialPair",
     "binomial_gen",
@@ -63,13 +67,39 @@ class _Ensemble:
     def _gen_at(self, x: float, terms) -> list[float]:
         return [self.gen(which, x, order) for which, order in terms]
 
-    def g(self, x: float) -> float:
-        """g(x) = lam(1 - rho(1 - x)) at one float x."""
+    def g(self, x):
+        """g(x) = lam(1 - rho(1 - x)) at a float or an array."""
         return self.lam(1.0 - self.rho(1.0 - x))
 
 
+class _Binomial(_Ensemble):
+    """The binomial ensemble's exponents and its exact_log array paths, for
+    R and T that are numbers (DegreeModel) or arrays of rows (BinomialRows)."""
+
+    @property
+    def p(self):
+        """Edge probability d_t / R."""
+        return self.d_t / self.R
+
+    def _exponent(self, which: str):
+        if which == "L":
+            return 1.0 * self.T
+        if which == "lam":
+            return self.T - 1.0
+        if which == "P":
+            return 1.0 * self.R
+        if which == "rho":
+            return self.R / self.epsilon - 1.0
+        raise ValueError(
+            f"unknown generating function {which!r}; expected one of ['L', 'P', 'lam', 'rho']"
+        )
+
+    def gen(self, which: str, x, order: int = 0):
+        return binomial_gen(self._exponent(which), self.p, x, order)
+
+
 @dataclass(frozen=True)
-class DegreeModel(_Ensemble):
+class DegreeModel(_Binomial):
     """Binomial bipartite ensemble with R concepts, T texts, mean text degree d_t.
 
     Parameters
@@ -108,24 +138,6 @@ class DegreeModel(_Ensemble):
         if self.eval_mode not in ("exact_log", "poisson_limit"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
 
-    @property
-    def p(self) -> float:
-        """Edge probability d_t / R."""
-        return self.d_t / self.R
-
-    def _exponent(self, which: str) -> float:
-        if which == "L":
-            return float(self.T)
-        if which == "lam":
-            return float(self.T - 1)
-        if which == "P":
-            return float(self.R)
-        if which == "rho":
-            return self.R / self.epsilon - 1.0
-        raise ValueError(
-            f"unknown generating function {which!r}; expected one of ['L', 'P', 'lam', 'rho']"
-        )
-
     def gen(self, which: str, x, order: int = 0):
         """Evaluate a generating function or one of its first two derivatives.
 
@@ -136,13 +148,12 @@ class DegreeModel(_Ensemble):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
         if isinstance(x, float) and self.eval_mode == "exact_log":
             return self._gen_at(x, ((which, order),))[0]
-        n = self._exponent(which)
         x = np.asarray(x, dtype=np.float64)
         if self.eval_mode == "poisson_limit":
-            d = n * self.p
+            d = self._exponent(which) * self.p
             out = d**order * np.exp(-d * (1.0 - x))
         else:
-            out = binomial_gen(n, self.p, x, order)
+            out = super().gen(which, x, order)
         return float(out) if out.ndim == 0 else out
 
     def _gen_at(self, x: float, terms) -> list[float]:
@@ -159,12 +170,16 @@ class DegreeModel(_Ensemble):
         base = np.log1p(p * (x - 1.0))
         return [_binomial_at(self._exponent(w), p, base, order) for w, order in terms]
 
-    def g(self, x: float) -> float:
-        """g(x) at one float x in straight-line math code, for the DE orbits.
+    def g(self, x):
+        """g(x) = lam(1 - rho(1 - x)) at a float or an array.
 
-        math's bits can differ from the array path's in the last place.
+        A float x (np.float64 included), as in the DE orbits, runs
+        straight-line math code; math's bits can differ from the array
+        path's in the last place.  An array composes the gen calls.
         """
-        p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, float(self.T - 1)
+        if not isinstance(x, float):
+            return super().g(x)
+        p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, self.T - 1.0
         x_rho = 1.0 - x  # p*(x_rho - 1) and p*(-x) can differ in the last bit
         if self.eval_mode == "poisson_limit":
             y = 1.0 - math.exp(-n_rho * p * (1.0 - x_rho))
@@ -189,6 +204,26 @@ class DegreeModel(_Ensemble):
     def l_prime_at_one(self) -> float:
         """L'(1) = T*p, the mean concept degree, computed analytically."""
         return self.T * self.p
+
+
+@dataclass(frozen=True, eq=False)
+class BinomialRows(_Binomial):
+    """The binomial ensemble at many (R, T) at once, in exact_log mode.
+
+    R and T are float arrays of one shape, one entry per row, and are not
+    checked.  With a column shape (rows, 1), gen and g evaluate every row
+    at each point of an x array.  An entry has the bits that DegreeModel's
+    array path gives for the same R, T and x.
+    """
+
+    R: np.ndarray
+    T: np.ndarray
+    d_t: float
+    epsilon: float
+
+    def L_complement(self, y):
+        """1 - L(y) as -expm1(log L(y)), accurate where L(y) is near 1."""
+        return -np.expm1(log_gen(self._exponent("L"), self.p, y))
 
 
 @dataclass(frozen=True)

@@ -190,17 +190,18 @@ class Segment:
 def concept_pair_prob(R: int, T: int, d_t: float, S_l: int) -> float:
     """Two fixed concepts co-occur in some text and map to one fixed skill."""
     shared = _cooccur_prob(R, T, d_t)
-    if S_l < 1:
-        raise ValueError("R, S_l must be >= 1 and T >= 0")
+    if not S_l >= 1:  # NaN fails it
+        raise ValueError(f"S_l must be >= 1, got {S_l}")
     return shared / (S_l * S_l)
 
 
 def _cooccur_prob(R: int, T: int, d_t: float) -> float:
     """Two fixed concepts co-occur in some text: concept_pair_prob before the skill map."""
-    if d_t > R:
-        raise ValueError(f"d_t = {d_t} cannot exceed R = {R}")
-    if T < 0 or R < 1:
-        raise ValueError("R, S_l must be >= 1 and T >= 0")
+    # each check is written so that NaN fails it
+    if not (1 <= R < math.inf and 0 <= T < math.inf):
+        raise ValueError(f"R must be finite and >= 1 and T finite and >= 0, got R={R}, T={T}")
+    if not -math.inf < d_t <= R:
+        raise ValueError(f"d_t must be finite and at most R = {R}, got {d_t}")
     ratio = (d_t / R) ** 2
     if ratio >= 1.0:
         return 1.0 if T >= 1 else 0.0
@@ -321,6 +322,8 @@ def gcc_fraction(mean_degree: float) -> float:
         raise ValueError(f"mean degree must be nonnegative, got {c}")
     if c <= 1.0:
         return 0.0
+    if c == math.inf:  # log(c) + 1 - c below is NaN there
+        return 1.0
     # argument of W is -c e^{-c}; e*z + 1 = 1 - exp(log c + 1 - c) computed
     # stably since log c - (c-1) ~ -(c-1)^2/2 near c = 1
     u = math.log(c) + 1.0 - c

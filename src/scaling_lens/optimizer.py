@@ -15,8 +15,9 @@ the DE orbit must stall; _row_bounds states it and why it holds.  Rows
 are solved in descending bound order until the bound falls below the
 best value found, which returns the full scan's argmax; near the
 optimum the stall bound is tight, so one or two rows are solved per
-frontier budget.  isoflop_curve returns every point and so evaluates
-the whole grid.
+frontier budget.  Most rows need no stall bound either: _bounded_argmax
+rules them out by the cheaper coverage bound R*(1 - L(0)).
+isoflop_curve returns every point and so evaluates the whole grid.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeModel, binomial_gen, log_gen
+from .degree import BinomialRows, DegreeModel
 from .threshold import X_GRID, ThresholdSolution, bit_erasure_rate, find_threshold
 
 __all__ = [
@@ -50,6 +51,9 @@ COARSE_POINTS_PER_DECADE = 64
 # _row_bounds samples x/g(x) at this many points of the solver's x grid
 STALL_SAMPLE_POINTS = 64
 STALL_SAMPLE = X_GRID[:: X_GRID.size // STALL_SAMPLE_POINTS]
+
+# _bounded_argmax first takes stall bounds on this many rows
+BOUND_BLOCK = 128
 
 # budgets with at most this many feasible R scan every integer R
 EXHAUSTIVE_LIMIT = 4096
@@ -225,6 +229,24 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     return count
 
 
+def _rows(grid: np.ndarray, spec: BudgetSpec) -> BinomialRows:
+    """The ensemble at each grid R, T = floor(C'/R) as _evaluate takes it, as a column."""
+    r = grid.astype(np.float64)[:, None]
+    return BinomialRows(
+        R=r, T=np.floor_divide(spec.C_prime, r), d_t=spec.d_t, epsilon=spec.epsilon
+    )
+
+
+def _bound_at(rows: BinomialRows, y) -> np.ndarray:
+    """R*(1 - L(y)) per row, widened by the relative slack 1e-9 for roundoff."""
+    return (rows.R * rows.L_complement(y) * (1.0 + 1e-9)).ravel()
+
+
+def _coverage_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
+    """The coverage bound R*(1 - L(0)) at each grid R; see _bounded_argmax."""
+    return _bound_at(_rows(grid, spec), 0.0)
+
+
 def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     """Upper bound on the objective at each grid R, T = floor(C'/R), with no solve.
 
@@ -233,8 +255,7 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     below an x with f(x) >= x, i.e. with x/g(x) <= eps (Richardson &
     Urbanke, Modern Coding Theory, 2008), so with x_s the largest such x
     of STALL_SAMPLE (0 if none) the objective is at most
-    R*(1 - L(1 - rho(1 - x_s))); at x_s = 0 that is R*(1 - L(0)), the mass
-    of concepts no text covers.  Up to threshold the rate takes x_inf on
+    R*(1 - L(1 - rho(1 - x_s))).  Up to threshold the rate takes x_inf on
     the trivial branch, reached from x = 0, so there the bound needs x_s
     at or below that branch.  It rests on the sample lying on the
     solver's X_GRID: find_threshold minimizes x/g(x) over that grid above
@@ -245,16 +266,12 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     for a solve that stops at MAX_CUT_PASSES, which none did in sweeps of
     over 100k rows.
     """
-    c, d_t, eps = spec.C_prime, spec.d_t, spec.epsilon
-    xs = STALL_SAMPLE
-    r = grid.astype(np.float64)
-    t = np.floor_divide(c, r)  # the T of _evaluate, int(C' // R)
-    p, n_rho = d_t / r, r / eps - 1.0
-    n_lam, col_p = (t - 1.0)[:, None], p[:, None]
-    g = binomial_gen(n_lam, col_p, 1.0 - binomial_gen(n_rho[:, None], col_p, 1.0 - xs))
-    x_s = np.where(xs <= eps * (1.0 - 1e-6) * g, xs, 0.0).max(axis=1)  # x/g(x) <= eps
-    y = 1.0 - binomial_gen(n_rho, p, 1.0 - x_s)
-    return -r * np.expm1(log_gen(t, p, y)) * (1.0 + 1e-9)
+    rows = _rows(grid, spec)
+    xs, eps = STALL_SAMPLE, spec.epsilon
+    g = rows.g(xs)
+    # x_s per row, the largest sampled x with x/g(x) <= eps
+    x_s = np.where(xs <= eps * (1.0 - 1e-6) * g, xs, 0.0).max(axis=1, keepdims=True)
+    return _bound_at(rows, 1.0 - rows.rho(1.0 - x_s))
 
 
 def _bounded_argmax(
@@ -268,12 +285,42 @@ def _bounded_argmax(
     or an equal one at a smaller index, keeps the smallest R among ties.
     objective maps R to its value (optimize_budget passes its memoized
     objective, so the rows solved here are solved once).
+
+    Only rows that this scan can visit get a stall bound.  A row's
+    coverage bound B0 = R*(1 - L(0)), R less the concepts no text covers,
+    needs no sample of g.  It is the stall bound at x_s = 0, bit for bit,
+    and at least the stall bound at any x_s, as y = 1 - rho(1 - x_s) >= 0
+    and L increases.  Stall bounds are taken on the first BOUND_BLOCK rows
+    in descending B0 order, or on every row if the largest of them does
+    not exceed the next row's B0.  No row left can then reach it, so its
+    row (the smallest index among ties) is the one the scan visits first,
+    and its value v1 is solved.  The rows with B0 >= v1 get a stall bound too.
+    Every other row has a bound below v1, so below the best value from the
+    first visit on, and the scan stops before it.  So the visits, the
+    solves and the index are those of the scan over every row's bound.
     """
-    bound = _row_bounds(grid, spec)
-    j, best = -1, -math.inf
-    for k in np.argsort(-bound, kind="stable").tolist():
-        if bound[k] < best:
+    cover = _coverage_bounds(grid, spec)
+    by_cover = np.argsort(-cover, kind="stable")
+    n = min(BOUND_BLOCK, grid.size)
+    bound = _row_bounds(grid[by_cover[:n]], spec)
+    if n < grid.size and not bound.max() > cover[by_cover[n]]:
+        bound = np.concatenate((bound, _row_bounds(grid[by_cover[n:]], spec)))
+        n = grid.size
+    first = int(by_cover[:n][bound == bound.max()].min())
+    best = objective(int(grid[first]))
+    m = int(np.count_nonzero(cover >= best))  # the rows by_cover[:m]
+    if m > n:
+        bound = np.concatenate((bound, _row_bounds(grid[by_cover[n:m]], spec)))
+        n = m
+    # the bounded rows by ascending index, so that the stable sort below
+    # breaks ties as the scan over every row does; first comes first
+    ascending = np.argsort(by_cover[:n])
+    rows, bound = by_cover[:n][ascending], bound[ascending]
+    j = first
+    for i in np.argsort(-bound, kind="stable")[1:].tolist():
+        if bound[i] < best:
             break
+        k = int(rows[i])
         v = objective(int(grid[k]))
         if v > best or (v == best and k < j):
             j, best = k, v
@@ -287,8 +334,9 @@ def optimize_budget(spec: BudgetSpec) -> OptimumPoint:
     golden-section refinement on log R around the best grid point;
     evaluation always happens at integer (R, T).  The scan solves rows in
     descending order of _row_bounds and stops once the bound falls below
-    the best value so far; see _row_bounds for why the bound holds.  The
-    scan picks the same point as a full scan, the smallest R among ties.
+    the best value so far; see _row_bounds for why the bound holds and
+    _bounded_argmax for the rows that get one.  The scan picks the same
+    point as a full scan, the smallest R among ties.
     Budgets with at most EXHAUSTIVE_LIMIT feasible R scan every integer R
     and skip the refinement.  The scan and the refinement share one
     memoized objective, so the refinement reuses the scan's solves.

@@ -174,7 +174,7 @@ def _ratio(model, x):
 
     Callers silence the divide and overflow warnings that vanishing g raises.
     """
-    return x / model.lam(1.0 - model.rho(1.0 - x))
+    return x / model.g(x)
 
 
 def _junk_cut(model, eps: float) -> float:

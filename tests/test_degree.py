@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from scaling_lens.degree import (
+    BinomialRows,
     DegreeModel,
     PolynomialPair,
     binomial_gen,
@@ -274,6 +275,31 @@ class TestProperties:
         assert m.gen("lam", lo) <= m.gen("lam", hi) + 1e-12
 
 
+class TestBinomialRows:
+    """BinomialRows, many (R, T) rows at once, gives each row the bits of
+    its own DegreeModel's array path."""
+
+    def test_rows_match_each_row_model(self):
+        """A column of rows times an x array, for g, rho and 1 - L."""
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((np.geomspace(1e-9, 1.0, 64), [math.nan]))
+        for d_t, eps in ((6.0, 0.5), (40.0, 0.3), (900.0, 0.9)):
+            R = np.unique(np.rint(10 ** rng.uniform(np.log10(d_t + 1), 6.0, 40)))
+            T = np.maximum(1.0, np.floor(10 ** rng.uniform(-0.5, 3.5, R.size) * R / d_t))
+            rows = BinomialRows(R=R[:, None], T=T[:, None], d_t=d_t, epsilon=eps)
+            g, rho = rows.g(xs), rows.rho(1.0 - xs)
+            complement = rows.L_complement(xs)
+            assert g.shape == rho.shape == complement.shape == (R.size, xs.size)
+            zeroed = 0
+            for i, (r, t) in enumerate(zip(R.tolist(), T.tolist())):
+                m = DegreeModel(R=int(r), T=int(t), d_t=d_t, epsilon=eps)
+                assert g[i].tobytes() == m.g(xs).tobytes()
+                assert rho[i].tobytes() == m.rho(1.0 - xs).tobytes()
+                assert complement[i].tobytes() == (-np.expm1(log_gen(float(t), m.p, xs))).tobytes()
+                zeroed += int(np.count_nonzero(g[i] == 0.0))
+            assert zeroed  # some rows reach the underflow mask
+
+
 class TestPolynomialPair:
     """Classical polynomial pairs used to validate the threshold solver."""
 
@@ -369,3 +395,11 @@ class TestEnsembleInterface:
             assert type(got) is float
             np.testing.assert_allclose(got, m.lam(1.0 - m.rho(1.0 - x)), rtol=1e-12, atol=0)
         assert m.g(0.0) == m.lam(0.0)
+
+    def test_array_g_composes_lam_and_rho(self, name):
+        """g takes arrays too, with the bits of the composed gen calls."""
+        m = ENSEMBLES[name]
+        xs = np.concatenate(([0.0], self.XS, [1.0]))
+        got = m.g(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert got.tobytes() == m.lam(1.0 - m.rho(1.0 - xs)).tobytes()

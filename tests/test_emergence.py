@@ -99,6 +99,22 @@ class TestConceptPairProb:
         with pytest.raises(ValueError):
             concept_pair_prob(10, -1, 2.0, 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["R", "T", "d_t"])
+    def test_rejects_non_finite(self, field, bad):
+        """T = nan and d_t = nan used to return nan, and T = inf gave 1."""
+        args = {"R": 1000, "T": 4500, "d_t": 6.0}
+        args[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            concept_pair_prob(args["R"], args["T"], args["d_t"], 10)
+        h = SkillHierarchy.exponential_thresholds(5, 100)
+        with pytest.raises(ValueError, match="finite"):
+            level_recursion(h, args["R"], args["T"], args["d_t"])
+
+    def test_rejects_nan_skill_count(self):
+        with pytest.raises(ValueError):
+            concept_pair_prob(1000, 4500, 6.0, math.nan)
+
 
 class TestSkillLinkProb:
     def test_collapsed_prerequisites(self):
@@ -222,6 +238,11 @@ class TestGccFraction:
             gcc_fraction(-0.5)
         with pytest.raises(ValueError):  # passed every check and gave 1.0
             gcc_fraction(math.nan)
+
+    def test_infinite_mean_degree_is_one(self):
+        """Newton used to halve toward 1 from a NaN seed and stop at 1 - 2**-40."""
+        assert gcc_fraction(math.inf) == 1.0
+        assert gcc_fraction(1e308) == 1.0
 
 
 class TestLevelRecursion:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from scaling_lens import optimizer, threshold
-from scaling_lens.degree import DegreeModel
+from scaling_lens.degree import BinomialRows, DegreeModel, binomial_gen
 from scaling_lens.optimizer import (
     COARSE_POINTS_PER_DECADE,
     BudgetSpec,
@@ -404,16 +404,121 @@ class TestRowBounds:
         assert len(counts) == len(FRONTIER_SPECS)
 
 
+# configs/emergence_multimodal_plateaus.txt
+PLATEAUS_SPECS = [BudgetSpec(C=float(c), d_t=6.0) for c in np.geomspace(1e6, 1e16, 121)]
+
+
+def full_bound_argmax(grid, spec, objective):
+    """The scan over every row's stall bound, as _bounded_argmax ran before
+    it took the coverage bound first: the reference it must reproduce."""
+    bound = optimizer._row_bounds(grid, spec)
+    j, best = -1, -math.inf
+    for k in np.argsort(-bound, kind="stable").tolist():
+        if bound[k] < best:
+            break
+        v = objective(int(grid[k]))
+        if v > best or (v == best and k < j):
+            j, best = k, v
+    return j
+
+
+class TestCoverageFirstScan:
+    """_bounded_argmax takes stall bounds only on the rows whose coverage
+    bound R*(1 - L(0)) can reach the first solved value."""
+
+    @pytest.mark.parametrize("specs", [FRONTIER_SPECS, PLATEAUS_SPECS], ids=["frontier", "plateaus"])
+    def test_coverage_bound_is_at_least_every_stall_bound(self, specs):
+        """B0 >= the stall bound on every row, and bit-equal where no
+        sampled x stalls (x_s = 0)."""
+        xs, equal, below = optimizer.STALL_SAMPLE, 0, 0
+        for spec in specs:
+            grid = coarse_grid(spec)
+            cover, bound = optimizer._coverage_bounds(grid, spec), _row_bounds(grid, spec)
+            assert (bound <= cover).all(), spec
+            # x_s = 0 where no sampled x has x/g(x) <= eps, g composed row by row
+            r = grid.astype(np.float64)[:, None]
+            t, p = np.floor_divide(spec.C_prime, r), spec.d_t / r
+            g = binomial_gen(t - 1.0, p, 1.0 - binomial_gen(r / spec.epsilon - 1.0, p, 1.0 - xs))
+            no_stall = ~(xs <= spec.epsilon * (1.0 - 1e-6) * g).any(axis=1)
+            assert bound[no_stall].tobytes() == cover[no_stall].tobytes(), spec
+            equal += int(no_stall.sum())
+            below += int((bound < cover).sum())
+        assert equal and below
+
+    @pytest.mark.parametrize("block", [1, optimizer.BOUND_BLOCK])
+    def test_visits_and_index_match_the_full_bound_scan(self, block, monkeypatch):
+        """The same index and the same ordered list of solved R as the scan
+        over every row's bound, on the frontier, plateaus and small budgets;
+        with a block of 1 row most budgets take the fallback that bounds
+        every row."""
+        monkeypatch.setattr(optimizer, "BOUND_BLOCK", block)
+        for spec in FRONTIER_SPECS + PLATEAUS_SPECS + SMALL_SPECS:
+            r_lo, r_hi = _r_bounds(spec)
+            grid = np.arange(r_lo, r_hi + 1) if spec in SMALL_SPECS else coarse_grid(spec)
+            values, visits = {}, {"full": [], "coverage": []}
+
+            def objective(name):
+                def solve(r):
+                    visits[name].append(r)
+                    if r not in values:
+                        values[r] = optimizer._evaluate(r, spec)[0]
+                    return values[r]
+
+                return solve
+
+            want = full_bound_argmax(grid, spec, objective("full"))
+            assert _bounded_argmax(grid, spec, objective("coverage")) == want, spec
+            assert visits["coverage"] == visits["full"], spec
+
+    def test_matches_the_full_bound_scan_on_synthetic_ties(self, monkeypatch):
+        """Random small-integer bounds, coverage bounds and values, full of
+        ties: the same index and visits as the full-bound scan, for any
+        objective, with every block size."""
+        rng = np.random.default_rng(5)
+        spec = BudgetSpec(C=6e6)
+        for _ in range(400):
+            size = int(rng.integers(1, 60))
+            grid = np.arange(size) + 10
+            cover = rng.integers(0, 12, size).astype(np.float64)
+            bound = cover - rng.integers(0, 4, size)
+            value = rng.integers(-2, 12, size).astype(np.float64)
+            monkeypatch.setattr(optimizer, "BOUND_BLOCK", int(rng.integers(1, 9)))
+            monkeypatch.setattr(optimizer, "_coverage_bounds", lambda g, s: cover[g - 10])
+            monkeypatch.setattr(optimizer, "_row_bounds", lambda g, s: bound[g - 10])
+            visits = {"full": [], "coverage": []}
+
+            def objective(name):
+                return lambda r: visits[name].append(r) or float(value[r - 10])
+
+            want = full_bound_argmax(grid, spec, objective("full"))
+            assert _bounded_argmax(grid, spec, objective("coverage")) == want
+            assert visits["coverage"] == visits["full"]
+
+    def test_frontier_bounds_at_most_160_rows(self, monkeypatch):
+        rows = []
+        row_bounds = optimizer._row_bounds
+
+        def counted(grid, spec):
+            rows[-1] += grid.size
+            return row_bounds(grid, spec)
+
+        monkeypatch.setattr(optimizer, "_row_bounds", counted)
+        for spec in FRONTIER_SPECS:
+            rows.append(0)
+            optimize_budget(spec)
+            assert 0 < rows[-1] <= 160 < coarse_grid(spec).size, spec
+
+
 def spy_texts(monkeypatch):
-    """Record the T array of every L(.) evaluation of _row_bounds."""
+    """Record the T array, L's exponent, of every L(.) evaluation of _row_bounds."""
     seen = []
-    log_gen = optimizer.log_gen
+    complement = BinomialRows.L_complement
 
-    def spy(n, p, x):
-        seen.append(n)
-        return log_gen(n, p, x)
+    def spy(rows, y):
+        seen.append(rows._exponent("L").ravel())
+        return complement(rows, y)
 
-    monkeypatch.setattr(optimizer, "log_gen", spy)
+    monkeypatch.setattr(BinomialRows, "L_complement", spy)
     return seen
 
 
