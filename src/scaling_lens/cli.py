@@ -10,7 +10,8 @@ byte-identical for identical (config, seed) regardless of thread
 count; the sidecar is not (it carries wall time).
 
 Exit codes: 0 success; 1 invalid configuration: a bad key, value or
-parameter combination, reported with its config line where there is one;
+parameter combination, reported with its config line where there is one,
+or a numeric input the library's range check (_check.in_range) rejects;
 2 numeric failure: no feasible grid, too few points, an instance over the
 Monte-Carlo edge budget or a non-finite output, reported with the
 command's parameters that were set, beyond the common keys.  `run` maps
@@ -364,8 +365,6 @@ def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
     threads = resolve_threads(params["threads"])
     # the sidecar records the count the run used
     params["threads"] = threads
-    if params["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
     if params["mode"] == "learned":
         if params["d_t"] <= 0 or params["R"] < 1 or params["T"] < 1:
             raise ConfigError("peel-sim needs R >= 1, T >= 1, d_t > 0")
@@ -391,8 +390,6 @@ def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
 
 def _run_isoflop(params: dict, extras: dict, notes: list[str]):
     specs = _resolve_budget_specs(params)
-    if params["points_per_decade"] < 2:
-        raise ConfigError("points_per_decade must be >= 2")
     columns = ["C", "R", "T", "objective", "eps_star"]
     rows: list[list] = []
     maxima: dict[str, int] = {}
@@ -450,11 +447,6 @@ def _emergence_curve(params: dict):
         params["levels"], params["skills_per_level"], params["eta_scale"]
     )
     task = _build_task(params)
-    top = task.max_level()
-    if top > h.L:
-        raise ConfigError(
-            f"task references level {top} but hierarchy has {h.L} levels"
-        )
     curve = accuracy_vs_compute(specs, h, task)
     return specs, h, curve
 

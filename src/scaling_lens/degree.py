@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._check import in_range
+
 __all__ = [
     "BinomialRows",
     "DegreeModel",
@@ -125,16 +127,10 @@ class DegreeModel(_Binomial):
     eval_mode: str = "exact_log"
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not (1 <= self.R < math.inf and 1 <= self.T < math.inf):
-            raise ValueError(f"R and T must be finite and >= 1, got R={self.R}, T={self.T}")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not (0.0 < self.d_t < self.R):
-            raise ValueError(
-                f"d_t must satisfy 0 < d_t < R so that p = d_t/R is in (0, 1); "
-                f"got d_t={self.d_t}, R={self.R}"
-            )
+        in_range("R", self.R, 1, math.inf, "[)")
+        in_range("T", self.T, 1, math.inf, "[)")
+        in_range("epsilon", self.epsilon, 0, 1, "(]")
+        in_range("d_t", self.d_t, 0, self.R, "()")
         if self.eval_mode not in ("exact_log", "poisson_limit"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
 
@@ -244,8 +240,8 @@ class PolynomialPair(_Ensemble):
         if not lam or not rho:
             raise ValueError("both coefficient lists must be non-empty")
         for name, coeffs in (("lam", lam), ("rho", rho)):
-            if not all(0.0 <= c < math.inf for c in coeffs):
-                raise ValueError(f"{name} coefficients must be finite and nonnegative")
+            for c in coeffs:
+                in_range(f"{name} coefficient", c, 0, math.inf, "[)")
             if abs(sum(coeffs) - 1.0) > 1e-9:
                 raise ValueError(f"{name} coefficients must sum to 1, got {sum(coeffs)}")
         object.__setattr__(self, "lam_coeffs", lam)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._check import in_range
 from .optimizer import BudgetSpec, OptimumPoint, optimize_budget
 
 __all__ = [
@@ -78,16 +79,11 @@ class SkillHierarchy:
     def __post_init__(self):
         if not (len(self.S) == len(self.eta) == len(self.sigma)):
             raise ValueError("S, eta, sigma must have one entry per level")
-        if len(self.S) < 1:
-            raise ValueError("hierarchy needs at least one level")
-        if any(s < 2 for s in self.S):
-            raise ValueError("every level needs S >= 2 skills")
-        if not all(math.isfinite(v) for v in (*self.eta, *self.sigma)):
-            raise ValueError("thresholds eta and prerequisite counts sigma must be finite")
-        if any(e <= 0 for e in self.eta):
-            raise ValueError("thresholds eta must be positive")
-        if any(s < 0 for s in self.sigma):
-            raise ValueError("prerequisite counts sigma must be nonnegative")
+        in_range("level count", len(self.S), 1, math.inf, "[)")
+        for S, eta, sigma in zip(self.S, self.eta, self.sigma):
+            in_range("level size S", S, 2, math.inf, "[)")
+            in_range("threshold eta", eta, 0, math.inf, "()")
+            in_range("prerequisite count sigma", sigma, 0, math.inf, "[)")
         if self.sigma[0] != 0:
             raise ValueError("level 1 cannot have prerequisites (sigma_1 = 0)")
 
@@ -117,16 +113,13 @@ class TaskSpec:
     def __post_init__(self):
         if not self.weights:
             raise ValueError("task mixture cannot be empty")
-        if not all(math.isfinite(q) for q in self.weights.values()):
-            raise ValueError("mixture weights must be finite")
+        for (l, m), q in self.weights.items():
+            in_range("task level", l, 1, math.inf, "[)")
+            in_range("task arity", m, 1, math.inf, "[)")
+            in_range(f"mixture weight at ({l},{m})", q, 0, math.inf, "[)")
         total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
-        for (l, m), q in self.weights.items():
-            if l < 1 or m < 1:
-                raise ValueError(f"levels and arities start at 1, got ({l},{m})")
-            if q < 0:
-                raise ValueError(f"negative weight {q} at ({l},{m})")
 
     @classmethod
     def homogeneous(cls, level: int, m: int) -> "TaskSpec":
@@ -190,18 +183,15 @@ class Segment:
 def concept_pair_prob(R: int, T: int, d_t: float, S_l: int) -> float:
     """Two fixed concepts co-occur in some text and map to one fixed skill."""
     shared = _cooccur_prob(R, T, d_t)
-    if not S_l >= 1:  # NaN fails it
-        raise ValueError(f"S_l must be >= 1, got {S_l}")
+    in_range("S_l", S_l, 1, math.inf, "[)")
     return shared / (S_l * S_l)
 
 
 def _cooccur_prob(R: int, T: int, d_t: float) -> float:
     """Two fixed concepts co-occur in some text: concept_pair_prob before the skill map."""
-    # each check is written so that NaN fails it
-    if not (1 <= R < math.inf and 0 <= T < math.inf):
-        raise ValueError(f"R must be finite and >= 1 and T finite and >= 0, got R={R}, T={T}")
-    if not -math.inf < d_t <= R:
-        raise ValueError(f"d_t must be finite and at most R = {R}, got {d_t}")
+    in_range("R", R, 1, math.inf, "[)")
+    in_range("T", T, 0, math.inf, "[)")
+    in_range("d_t", d_t, 0, R)
     ratio = (d_t / R) ** 2
     if ratio >= 1.0:
         return 1.0 if T >= 1 else 0.0
@@ -227,12 +217,11 @@ def skill_link_prob(
     against the threshold eta_l, times the prerequisite reachability
     factor gamma_prev^(2 sigma_l).
     """
-    if not 0.0 <= gamma_prev <= 1.0:
-        raise ValueError(f"gamma_prev must lie in [0, 1], got {gamma_prev}")
-    if not 0.0 < p_rr < 1.0:
-        raise ValueError(f"p_rr must lie in (0, 1), got {p_rr}")
-    if eta_l <= 0:
-        raise ValueError(f"eta_l must be positive, got {eta_l}")
+    in_range("R", R, 1, math.inf, "[)")
+    in_range("p_rr", p_rr, 0, 1, "()")
+    in_range("eta_l", eta_l, 0, math.inf, "()")
+    in_range("sigma_l", sigma_l, 0, math.inf, "[)")
+    in_range("gamma_prev", gamma_prev, 0, 1)
     n = R * (R - 1) / 2.0
     if eta_l >= n:
         warnings.warn(
@@ -269,10 +258,7 @@ def lambert_w0(z: float) -> float:
     Series start near the branch point, asymptotic start for large z,
     Halley polish to |w e^w - z| < 1e-12 * max(1, |z|).
     """
-    if z < -INV_E:
-        if z < -INV_E - 1e-12:
-            raise ValueError(f"lambert_w0 domain is z >= -1/e, got {z}")
-        z = -INV_E
+    z = max(in_range("z", z, -INV_E - 1e-12, math.inf, "[)"), -INV_E)
     tol = 1e-13 * max(1.0, abs(z))
     if z == -INV_E:
         return -1.0
@@ -317,9 +303,7 @@ def gcc_fraction(mean_degree: float) -> float:
     gamma = 1 - exp(-c gamma), seeded by the Lambert W closed form and
     Newton-polished to residual < 1e-12.
     """
-    c = float(mean_degree)
-    if not c >= 0:  # NaN fails it
-        raise ValueError(f"mean degree must be nonnegative, got {c}")
+    c = float(in_range("mean degree", mean_degree, 0, math.inf, "[]"))
     if c <= 1.0:
         return 0.0
     if c == math.inf:  # log(c) + 1 - c below is NaN there
@@ -391,18 +375,22 @@ def task_accuracy(gamma: np.ndarray, task: TaskSpec) -> float:
     """Accuracy lower bound sum q(l,m) gamma_l^m.
 
     Levels with gamma_l = 0 add exactly +0.0 (weights are finite), so the
-    sum skips them.
+    sum skips them.  Every gamma_l must lie in [0, 1].
     """
-    g = np.asarray(gamma, dtype=np.float64).tolist()
-    try:
-        acc = math.fsum(
-            q * gl**m for (l, m), q in task.weights.items() if (gl := g[l - 1]) != 0.0
-        )
-    except IndexError:
-        raise ValueError(
-            f"task references level {task.max_level()} but only {len(g)} levels given"
-        ) from None
+    g = np.asarray(gamma, dtype=np.float64)
+    _check_levels(task, g.size)
+    for end in (g.min(), g.max()):  # either is NaN if any entry is
+        in_range("gamma", end, 0, 1)
+    g = g.tolist()
+    acc = math.fsum(
+        q * gl**m for (l, m), q in task.weights.items() if (gl := g[l - 1]) != 0.0
+    )
     return min(1.0, max(0.0, acc))
+
+
+def _check_levels(task: TaskSpec, levels: int) -> None:
+    if task.max_level() > levels:
+        raise ValueError(f"task references level {task.max_level()} but only {levels} given")
 
 
 def task_mixture_binomial(
@@ -416,6 +404,7 @@ def task_mixture_binomial(
     sum_i w_i Binomial(L, pi_i) before truncation.  The result carries
     arity m = 1 per level; compose arities with TaskSpec.with_arity.
     """
+    in_range("L", L, 1, math.inf, "[)")
     if isinstance(pi, (int, float)):
         pis = (float(pi),)
         wts = (1.0,)
@@ -426,13 +415,12 @@ def task_mixture_binomial(
         wts = tuple(float(w) for w in weights)
         if len(wts) != len(pis):
             raise ValueError("weights and pis must have equal length")
-        if not all(math.isfinite(w) for w in wts):
-            raise ValueError("mixture weights must be finite")
+        for w in wts:
+            in_range("mixture weight", w, 0, math.inf, "[)")
         if abs(math.fsum(wts) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
     for x in pis:
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"pi must lie in (0, 1), got {x}")
+        in_range("pi", x, 0, 1, "()")
 
     mass = np.zeros(L + 1)
     for w, x in zip(wts, pis):
@@ -447,10 +435,7 @@ def task_mixture_binomial(
                 + (L - l) * logq
             )
     mass = mass[1:]  # levels start at 1
-    total = mass.sum()
-    if total <= 0:
-        raise ValueError("mixture has no mass on levels >= 1")
-    mass /= total
+    mass /= in_range("mixture mass on levels >= 1", mass.sum(), 0, math.inf, "()")
     marginal = {l + 1: float(q) for l, q in enumerate(mass) if q > 0.0}
     return TaskSpec.product(marginal, {1: 1.0})
 
@@ -464,8 +449,10 @@ def accuracy_vs_compute(
     """Accuracy lower bound at the compute-optimal point of each budget.
 
     Precomputed allocations (from optimize_budget on the same specs) can
-    be passed to amortize the optimizer across several tasks.
+    be passed to amortize the optimizer across several tasks.  A task
+    that references a level above the hierarchy fails before any solve.
     """
+    _check_levels(task, h.L)
     if allocations is None:
         allocations = [optimize_budget(s) for s in specs]
     if len(allocations) != len(specs):
@@ -505,6 +492,8 @@ def detect_plateaus(
     count as part of a rise; adjacent segments of one kind merge.  C must
     be strictly increasing: a ValueError says so otherwise.
     """
+    in_range("slope_tol", slope_tol, 0, math.inf, "[)")
+    in_range("min_width_decades", min_width_decades, 0, math.inf, "[)")
     n = curve.C.shape[0]
     if n < 8:
         raise TooFewPoints(f"plateau detection needs >= 8 points, got {n}")

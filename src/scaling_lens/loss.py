@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._check import in_range
 from .degree import DegreeModel
 from .optimizer import BudgetSpec, optimize_budget
 from .threshold import bit_erasure_rate
@@ -67,19 +68,10 @@ class FrontierRow:
 
 def training_error_exact(R: int, d_t: float, P_b: float) -> float:
     """Probability a text keeps >= 2 unlearned concepts, closed form."""
-    # each check is written so that NaN fails it
-    if not 1 <= R < math.inf:
-        raise ValueError(f"R must be finite and >= 1, got {R}")
-    if not 0.0 <= P_b <= 1.0:
-        raise ValueError(f"P_b must lie in [0, 1], got {P_b}")
-    if not 0 <= d_t < math.inf:
-        raise ValueError(f"d_t must be finite and nonnegative, got {d_t}")
-    x = d_t * P_b / R
-    if x > 1.0:
-        raise ValueError(
-            f"d_t * P_b = {d_t * P_b:.3g} exceeds R = {R}; "
-            "the mean degree cannot exceed the concept count"
-        )
+    in_range("R", R, 1, math.inf, "[)")
+    in_range("P_b", P_b, 0, 1)
+    in_range("d_t", d_t, 0, math.inf, "[)")
+    x = in_range("d_t * P_b / R", d_t * P_b / R, 0, 1)
     if x == 1.0:
         # degenerate corner: every text sees every concept unlearned
         return 0.0 if R == 1 else 1.0
@@ -94,31 +86,27 @@ def training_error_exact(R: int, d_t: float, P_b: float) -> float:
 
 def training_error_approx(d_t: float, P_b_raw: float, epsilon: float) -> float:
     """The quadratic approximation, verbatim: 4 d_t^2 (P_b_raw/epsilon)^2."""
-    if d_t < 0 or P_b_raw < 0:
-        raise ValueError("d_t and P_b_raw must be nonnegative")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    in_range("d_t", d_t, 0, math.inf, "[)")
+    in_range("P_b_raw", P_b_raw, 0, 1)
+    in_range("epsilon", epsilon, 0, 1, "(]")
     return 4.0 * d_t**2 * (P_b_raw / epsilon) ** 2
 
 
 def excess_entropy_lb(P_e_train: float) -> float:
     """Pinsker bound: excess entropy >= P_e_train^2 / 2."""
-    if not 0.0 <= P_e_train <= 1.0:
-        raise ValueError(f"P_e_train must lie in [0, 1], got {P_e_train}")
+    in_range("P_e_train", P_e_train, 0, 1)
     return 0.5 * P_e_train * P_e_train
 
 
 def loss_point(P_b_raw: float, R: int, d_t: float, epsilon: float) -> LossPoint:
     """Bundle the per-concept rate with both error forms and the bound."""
-    p_b = P_b_raw / epsilon
-    if math.isnan(p_b):  # the clamp below would turn NaN into 0
-        raise ValueError(f"P_b_raw / epsilon is NaN for P_b_raw={P_b_raw}, epsilon={epsilon}")
-    p_b = min(1.0, max(0.0, p_b))
+    approx = training_error_approx(d_t, P_b_raw, epsilon)  # checks what the clamp reads
+    p_b = min(1.0, max(0.0, P_b_raw / epsilon))
     exact = training_error_exact(R, d_t, p_b)
     return LossPoint(
         P_b=p_b,
         P_e_train_exact=exact,
-        P_e_train_approx=training_error_approx(d_t, P_b_raw, epsilon),
+        P_e_train_approx=approx,
         excess_entropy_lb=excess_entropy_lb(exact),
     )
 

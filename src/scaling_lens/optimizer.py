@@ -28,8 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._check import in_range
 from .degree import BinomialRows, DegreeModel
-from .threshold import X_GRID, ThresholdSolution, bit_erasure_rate, find_threshold
+from .threshold import (
+    X_GRID,
+    ThresholdSolution,
+    bit_erasure_rate,
+    find_threshold,
+    prob_concept_unlearned,
+)
 
 __all__ = [
     "BudgetSpec",
@@ -80,19 +87,10 @@ class BudgetSpec:
     epsilon: float = 0.5
 
     def __post_init__(self):
-        for name in ("C", "varsigma", "tau", "d_t", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.C <= 0 or self.varsigma <= 0 or self.tau <= 0:
-            raise ValueError("C, varsigma, tau must all be positive")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.d_t <= 0:
-            raise ValueError(f"d_t must be positive, got {self.d_t}")
-        if self.C_prime <= 1.0:
-            raise ValueError(
-                f"C' = C/(6*varsigma*tau) = {self.C_prime:.3g} must exceed 1"
-            )
+        for name in ("C", "varsigma", "tau", "d_t"):
+            in_range(name, getattr(self, name), 0, math.inf, "()")
+        in_range("epsilon", self.epsilon, 0, 1, "()")
+        in_range("C' = C/(6*varsigma*tau)", self.C_prime, 1, math.inf, "()")
 
     @property
     def C_prime(self) -> float:
@@ -134,16 +132,13 @@ def _evaluate(
         T = int(spec.C_prime // R)
     model = DegreeModel(R=R, T=T, d_t=spec.d_t, epsilon=spec.epsilon)
     sol = find_threshold(model)
-    p_b = bit_erasure_rate(model, sol)
-    frac = min(1.0, p_b / spec.epsilon)
-    value = min(float(R), max(0.0, R * (1.0 - frac)))
-    return value, sol, T
+    return R * (1.0 - prob_concept_unlearned(model, sol)), sol, T
 
 
 def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
     """Expected concepts learned for an explicit (R, T) pair."""
-    if R < 1 or T < 1:
-        raise ValueError("R and T must be at least 1")
+    in_range("R", R, 1, math.inf, "[)")
+    in_range("T", T, 1, math.inf, "[)")
     return _evaluate(int(R), spec, T=int(T))[0]
 
 
@@ -167,6 +162,7 @@ def isoflop_curve(
     spec: BudgetSpec, points_per_decade: int = COARSE_POINTS_PER_DECADE
 ) -> IsoflopCurve:
     """Objective and threshold along a geometric R grid, T = floor(C'/R)."""
+    in_range("points_per_decade", points_per_decade, 2, math.inf, "[)")
     grid = _geometric_ints(*_r_bounds(spec), points_per_decade)
     values = np.empty(grid.size)
     stars = np.empty(grid.size)
@@ -199,6 +195,7 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     removes it without masking any macroscopic structure.  tol = 0
     counts every strict reversal.
     """
+    in_range("tol", tol, 0, math.inf, "[)")
     v = np.asarray(values, dtype=np.float64)
     count = 0
     direction = 0

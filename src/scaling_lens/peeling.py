@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _peel_py
+from ._check import in_range
 
 __all__ = [
     "THREADS_ENV",
@@ -78,8 +79,7 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = int(env) if env else 0
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    in_range("threads", threads, 0, math.inf, "[)")
     return threads or os.cpu_count() or 1
 
 
@@ -156,9 +156,7 @@ class MCStats:
 
 
 def _check_seed(seed: int) -> int:
-    if not (0 <= int(seed) < 2**64):
-        raise ValueError(f"seed must fit in uint64, got {seed}")
-    return int(seed)
+    return int(in_range("seed", seed, 0, 2**64, "[)", rule="fit in uint64"))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -233,11 +231,9 @@ def _sample_with_rng(
 
 
 def _check_budget(R: int, T: int, p: float) -> None:
-    # T = 0 is legal: an empty text side peels nothing
-    if R < 1 or T < 0:
-        raise ValueError("graph needs at least one concept and T >= 0 texts")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    in_range("R", R, 1, math.inf, "[)", rule="be a finite count of at least one concept")
+    in_range("T", T, 0, math.inf, "[)")  # T = 0 is legal: an empty text side peels nothing
+    in_range("edge probability", p, 0, 1)
     if R * T * p > MAX_EXPECTED_EDGES:
         raise BudgetExceeded(
             f"expected edges R*T*p = {R * T * p:.3g} exceeds "
@@ -324,8 +320,7 @@ def _run_trials(trial_fn, trials: int, threads: int | None) -> np.ndarray:
     Values land at their trial index, so the aggregate is byte-identical
     for any thread count.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    in_range("trials", trials, 1, math.inf, "[)")
     n_workers = resolve_threads(threads)
     values = np.empty(trials, dtype=np.float64)
     if n_workers == 1:

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._check import in_range
 from .degree import DegreeModel
 
 __all__ = [
@@ -101,6 +102,7 @@ class ThresholdSolution:
 
 def qfunc(z: float) -> float:
     """Gaussian tail probability Q(z) = 0.5*erfc(z/sqrt(2))."""
+    in_range("z", z, -math.inf, math.inf)
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
@@ -157,6 +159,7 @@ def de_fixed_point(model, eps: float) -> float:
     a tangency) the current iterate is returned; orbits from above always
     bound the fixed point from above, so the result errs conservative.
     """
+    in_range("eps", eps, 0, 1)
     x_lo = _trivial_branch(model, eps)
     exit_level = x_lo * (1.0 + 1e-9) + 1e-15
     x = _iterate(model, eps, 1.0, DE_MAX_ITER, stop_below=exit_level)
@@ -337,6 +340,8 @@ def scaling_alpha(model, x_star: float, eps_star: float) -> float:
     L'(1); the slope is the square root of their sum.  Raises
     NonPositiveRadicand if the bracketed sum is not positive.
     """
+    in_range("x_star", x_star, 0, 1)
+    in_range("eps_star", eps_star, 0, 1)
     return _alpha(model, x_star, eps_star, _tangent_terms(model, x_star))
 
 
@@ -397,4 +402,5 @@ def bit_erasure_rate(model: DegreeModel, sol: ThresholdSolution) -> float:
 
 def prob_concept_unlearned(model: DegreeModel, sol: ThresholdSolution) -> float:
     """Probability an erased concept stays unlearned: bit rate over eps, clamped to [0, 1]."""
-    return min(1.0, max(0.0, bit_erasure_rate(model, sol) / model.epsilon))
+    rate = in_range("bit erasure rate", bit_erasure_rate(model, sol), 0, 1)
+    return min(1.0, max(0.0, rate / model.epsilon))
