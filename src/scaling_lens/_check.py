@@ -1,6 +1,7 @@
-"""The range check that every public numeric input of the package passes."""
+"""The range checks that every public numeric input of the package passes."""
 
 import math
+from numbers import Integral
 
 
 def in_range(name: str, x, lo, hi, ends: str = "[]", rule: str | None = None):
@@ -24,3 +25,16 @@ def in_range(name: str, x, lo, hi, ends: str = "[]", rule: str | None = None):
         if not (finite or closed_at_inf):
             rule = "be finite and " + rule
     raise ValueError(f"{name} must {rule}, got {'NaN' if x != x else x}")
+
+
+def count_in(name: str, x, lo, hi=math.inf, rule: str | None = None):
+    """Return x if it is an integer in [lo, hi), else raise ValueError.
+
+    The range is checked first, by in_range, so an out-of-range count
+    gets its message.  Python and numpy integers pass; a float fails,
+    even an integral one such as 5.0, which numpy rejects as a size.
+    """
+    in_range(name, x, lo, hi, "[)", rule)
+    if not isinstance(x, Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return x

@@ -11,7 +11,7 @@ count; the sidecar is not (it carries wall time).
 
 Exit codes: 0 success; 1 invalid configuration: a bad key, value or
 parameter combination, reported with its config line where there is one,
-or a numeric input the library's range check (_check.in_range) rejects;
+or a numeric input the library's range checks (scaling_lens._check) reject;
 2 numeric failure: no feasible grid, too few points, an instance over the
 Monte-Carlo edge budget or a non-finite output, reported with the
 command's parameters that were set, beyond the common keys.  `run` maps

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._check import in_range
+from ._check import count_in, in_range
 
 __all__ = [
     "BinomialRows",
@@ -127,8 +127,8 @@ class DegreeModel(_Binomial):
     eval_mode: str = "exact_log"
 
     def __post_init__(self):
-        in_range("R", self.R, 1, math.inf, "[)")
-        in_range("T", self.T, 1, math.inf, "[)")
+        count_in("R", self.R, 1)
+        count_in("T", self.T, 1)
         in_range("epsilon", self.epsilon, 0, 1, "(]")
         in_range("d_t", self.d_t, 0, self.R, "()")
         if self.eval_mode not in ("exact_log", "poisson_limit"):

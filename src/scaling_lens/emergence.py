@@ -10,10 +10,10 @@ mean degree p_l * S^(l), which switches on only past mean degree 1;
 chaining levels through the prerequisite factor gamma_prev^(2 sigma_l)
 produces the sharp emergence steps and the plateaus between them.
 A level with prerequisites (sigma > 0) right above a dead one (gamma = 0)
-gets factor 0 and is dead as well, so past the first dead level the
-recursion fills a zero tail, up to the next level with sigma = 0, without
-evaluating the link bound or the giant component; the accuracy sum skips
-the tail's terms, which are exactly 0.
+gets factor 0 and is dead as well: the link bound returns 0 there before
+its Chernoff term, so the zero tail above the first dead level costs no
+Chernoff evaluation, and the accuracy sum skips its terms, which are
+exactly 0.
 
 Branch conventions for the link bound: at eta == mu the in-mean branch
 (1 - g) applies, yielding 0 (the bound is vacuous at the mean); the
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._check import in_range
+from ._check import count_in, in_range
 from .optimizer import BudgetSpec, OptimumPoint, optimize_budget
 
 __all__ = [
@@ -81,7 +81,7 @@ class SkillHierarchy:
             raise ValueError("S, eta, sigma must have one entry per level")
         in_range("level count", len(self.S), 1, math.inf, "[)")
         for S, eta, sigma in zip(self.S, self.eta, self.sigma):
-            in_range("level size S", S, 2, math.inf, "[)")
+            count_in("level size S", S, 2)
             in_range("threshold eta", eta, 0, math.inf, "()")
             in_range("prerequisite count sigma", sigma, 0, math.inf, "[)")
         if self.sigma[0] != 0:
@@ -114,8 +114,8 @@ class TaskSpec:
         if not self.weights:
             raise ValueError("task mixture cannot be empty")
         for (l, m), q in self.weights.items():
-            in_range("task level", l, 1, math.inf, "[)")
-            in_range("task arity", m, 1, math.inf, "[)")
+            count_in("task level", l, 1)
+            count_in("task arity", m, 1)
             in_range(f"mixture weight at ({l},{m})", q, 0, math.inf, "[)")
         total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
@@ -183,14 +183,14 @@ class Segment:
 def concept_pair_prob(R: int, T: int, d_t: float, S_l: int) -> float:
     """Two fixed concepts co-occur in some text and map to one fixed skill."""
     shared = _cooccur_prob(R, T, d_t)
-    in_range("S_l", S_l, 1, math.inf, "[)")
+    count_in("S_l", S_l, 1)
     return shared / (S_l * S_l)
 
 
 def _cooccur_prob(R: int, T: int, d_t: float) -> float:
     """Two fixed concepts co-occur in some text: concept_pair_prob before the skill map."""
-    in_range("R", R, 1, math.inf, "[)")
-    in_range("T", T, 0, math.inf, "[)")
+    count_in("R", R, 1)
+    count_in("T", T, 0)
     in_range("d_t", d_t, 0, R)
     ratio = (d_t / R) ** 2
     if ratio >= 1.0:
@@ -217,24 +217,34 @@ def skill_link_prob(
     against the threshold eta_l, times the prerequisite reachability
     factor gamma_prev^(2 sigma_l).
     """
-    in_range("R", R, 1, math.inf, "[)")
+    count_in("R", R, 1)
     in_range("p_rr", p_rr, 0, 1, "()")
     in_range("eta_l", eta_l, 0, math.inf, "()")
     in_range("sigma_l", sigma_l, 0, math.inf, "[)")
     in_range("gamma_prev", gamma_prev, 0, 1)
-    n = R * (R - 1) / 2.0
-    if eta_l >= n:
+    return _link_prob(R * (R - 1) / 2.0, p_rr, eta_l, sigma_l, gamma_prev, stacklevel=3)
+
+
+def _link_prob(n, p_rr, eta, sigma, gamma_prev, stacklevel=2) -> float:
+    """skill_link_prob over n = binom(R,2) pairs, unchecked; warns stacklevel frames up.
+
+    A zero prerequisite factor returns 0 after the eta >= n test, so a
+    dead level warns as a live one does.
+    """
+    if eta >= n:
         warnings.warn(
-            f"threshold eta = {eta_l:.3g} >= binom(R,2) = {n:.3g}: "
+            f"threshold eta = {eta:.3g} >= binom(R,2) = {n:.3g}: "
             "the co-occurrence tail event is impossible, bound is 0",
             DegenerateBound,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
         return 0.0
+    prereq = gamma_prev ** (2.0 * sigma)
+    if prereq == 0.0:  # the value below would be a Chernoff term times 0
+        return 0.0
     mu = n * p_rr
-    prereq = gamma_prev ** (2.0 * sigma_l)
-    g = math.exp(-_kl_upper_exponent(n, eta_l, mu, p_rr))
-    if eta_l <= mu:
+    g = math.exp(-_kl_upper_exponent(n, eta, mu, p_rr))
+    if eta <= mu:
         # The Chernoff term 1 - g is vacuous just past the mean crossing
         # (eta -> mu makes the KL exponent collapse), which would zero a
         # level for a sliver of every budget sweep and cut the recursion
@@ -248,7 +258,7 @@ def skill_link_prob(
             chernoff = max(chernoff, 0.25)
         value = chernoff * prereq
     else:
-        value = g / math.sqrt(8.0 * eta_l * (1.0 - eta_l / n)) * prereq
+        value = g / math.sqrt(8.0 * eta * (1.0 - eta / n)) * prereq
     return min(1.0, max(0.0, value))
 
 
@@ -258,7 +268,11 @@ def lambert_w0(z: float) -> float:
     Series start near the branch point, asymptotic start for large z,
     Halley polish to |w e^w - z| < 1e-12 * max(1, |z|).
     """
-    z = max(in_range("z", z, -INV_E - 1e-12, math.inf, "[)"), -INV_E)
+    return _w0(max(in_range("z", z, -INV_E - 1e-12, math.inf, "[)"), -INV_E))
+
+
+def _w0(z: float) -> float:
+    """lambert_w0 on z in [-1/e, inf), unchecked."""
     tol = 1e-13 * max(1.0, abs(z))
     if z == -INV_E:
         return -1.0
@@ -303,7 +317,11 @@ def gcc_fraction(mean_degree: float) -> float:
     gamma = 1 - exp(-c gamma), seeded by the Lambert W closed form and
     Newton-polished to residual < 1e-12.
     """
-    c = float(in_range("mean degree", mean_degree, 0, math.inf, "[]"))
+    return _gcc(float(in_range("mean degree", mean_degree, 0, math.inf, "[]")))
+
+
+def _gcc(c: float) -> float:
+    """gcc_fraction at a mean degree c in [0, inf], unchecked."""
     if c <= 1.0:
         return 0.0
     if c == math.inf:  # log(c) + 1 - c below is NaN there
@@ -316,7 +334,7 @@ def gcc_fraction(mean_degree: float) -> float:
         p = math.sqrt(2.0 * ez1)
         w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
     else:
-        w = lambert_w0(-c * math.exp(-c))
+        w = _w0(-c * math.exp(-c))
     gamma = 1.0 + w / c
     gamma = min(1.0, max(0.0, gamma))
 
@@ -339,23 +357,19 @@ def gcc_fraction(mean_degree: float) -> float:
 def _levels(h: SkillHierarchy, R: int, T: int, d_t: float):
     """(p_rr, p_link, mean_degree, gamma) per level, bottom to top, in floats.
 
-    A level above a dead one (gamma_prev = 0) with prerequisites
-    (sigma > 0) has prerequisite factor 0, so p_link, the mean degree and
-    gamma are +0.0 there; such a level is yielded without calling
-    skill_link_prob or gcc_fraction, unless that call would warn
-    (eta >= binom(R,2)) or raise (p_rr outside (0, 1)).
+    Inputs are checked once, and each level runs the unchecked cores: R,
+    T, d_t by _cooccur_prob, S, eta, sigma by SkillHierarchy, and p_rr at
+    the largest S, its smallest value (its largest is <= 1/4 as S >= 2).
     """
     shared = _cooccur_prob(R, T, d_t)
+    in_range("p_rr", shared / max(h.S) ** 2, 0, 1, "()")
     n_pairs = R * (R - 1) / 2.0
     gamma = 1.0
     for S, eta, sigma in zip(h.S, h.eta, h.sigma):
         p_rr = shared / (S * S)
-        if gamma == 0.0 < sigma and 0.0 < eta < n_pairs and 0.0 < p_rr < 1.0:
-            yield p_rr, 0.0, 0.0, 0.0
-            continue
-        p_link = skill_link_prob(R, p_rr, eta, sigma, gamma)
+        p_link = _link_prob(n_pairs, p_rr, eta, sigma, gamma)
         c = p_link * S
-        gamma = gcc_fraction(c)
+        gamma = _gcc(c)
         yield p_rr, p_link, c, gamma
 
 
@@ -404,7 +418,7 @@ def task_mixture_binomial(
     sum_i w_i Binomial(L, pi_i) before truncation.  The result carries
     arity m = 1 per level; compose arities with TaskSpec.with_arity.
     """
-    in_range("L", L, 1, math.inf, "[)")
+    count_in("L", L, 1)
     if isinstance(pi, (int, float)):
         pis = (float(pi),)
         wts = (1.0,)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._check import in_range
+from ._check import count_in, in_range
 from .degree import DegreeModel
 from .optimizer import BudgetSpec, optimize_budget
 from .threshold import bit_erasure_rate
@@ -68,7 +68,7 @@ class FrontierRow:
 
 def training_error_exact(R: int, d_t: float, P_b: float) -> float:
     """Probability a text keeps >= 2 unlearned concepts, closed form."""
-    in_range("R", R, 1, math.inf, "[)")
+    count_in("R", R, 1)
     in_range("P_b", P_b, 0, 1)
     in_range("d_t", d_t, 0, math.inf, "[)")
     x = in_range("d_t * P_b / R", d_t * P_b / R, 0, 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._check import in_range
+from ._check import count_in, in_range
 from .degree import BinomialRows, DegreeModel
 from .threshold import (
     X_GRID,
@@ -137,8 +137,8 @@ def _evaluate(
 
 def expected_learned(R: int, T: int, spec: BudgetSpec) -> float:
     """Expected concepts learned for an explicit (R, T) pair."""
-    in_range("R", R, 1, math.inf, "[)")
-    in_range("T", T, 1, math.inf, "[)")
+    count_in("R", R, 1)
+    count_in("T", T, 1)
     return _evaluate(int(R), spec, T=int(T))[0]
 
 
@@ -162,7 +162,7 @@ def isoflop_curve(
     spec: BudgetSpec, points_per_decade: int = COARSE_POINTS_PER_DECADE
 ) -> IsoflopCurve:
     """Objective and threshold along a geometric R grid, T = floor(C'/R)."""
-    in_range("points_per_decade", points_per_decade, 2, math.inf, "[)")
+    count_in("points_per_decade", points_per_decade, 2)
     grid = _geometric_ints(*_r_bounds(spec), points_per_decade)
     values = np.empty(grid.size)
     stars = np.empty(grid.size)
@@ -197,6 +197,8 @@ def interior_maxima(values: np.ndarray, tol: float = 0.0) -> int:
     """
     in_range("tol", tol, 0, math.inf, "[)")
     v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        return 0
     count = 0
     direction = 0
     hi = lo = v[0]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _peel_py
-from ._check import in_range
+from ._check import count_in, in_range
 
 __all__ = [
     "THREADS_ENV",
@@ -79,7 +79,7 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = int(env) if env else 0
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    in_range("threads", threads, 0, math.inf, "[)")
+    count_in("threads", threads, 0)
     return threads or os.cpu_count() or 1
 
 
@@ -156,7 +156,7 @@ class MCStats:
 
 
 def _check_seed(seed: int) -> int:
-    return int(in_range("seed", seed, 0, 2**64, "[)", rule="fit in uint64"))
+    return int(count_in("seed", seed, 0, 2**64, rule="fit in uint64"))
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -231,8 +231,8 @@ def _sample_with_rng(
 
 
 def _check_budget(R: int, T: int, p: float) -> None:
-    in_range("R", R, 1, math.inf, "[)", rule="be a finite count of at least one concept")
-    in_range("T", T, 0, math.inf, "[)")  # T = 0 is legal: an empty text side peels nothing
+    count_in("R", R, 1, rule="be a finite count of at least one concept")
+    count_in("T", T, 0)  # T = 0 is legal: an empty text side peels nothing
     in_range("edge probability", p, 0, 1)
     if R * T * p > MAX_EXPECTED_EDGES:
         raise BudgetExceeded(
@@ -320,7 +320,7 @@ def _run_trials(trial_fn, trials: int, threads: int | None) -> np.ndarray:
     Values land at their trial index, so the aggregate is byte-identical
     for any thread count.
     """
-    in_range("trials", trials, 1, math.inf, "[)")
+    count_in("trials", trials, 1)
     n_workers = resolve_threads(threads)
     values = np.empty(trials, dtype=np.float64)
     if n_workers == 1:

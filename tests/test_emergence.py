@@ -1,5 +1,6 @@
 """Tests for skill-graph emergence: link bounds, giant components, plateaus."""
 
+import inspect
 import math
 import warnings
 
@@ -134,8 +135,11 @@ class TestSkillLinkProb:
         assert bound >= 0.1 * tail
 
     def test_degenerate_threshold_warns(self):
-        with pytest.warns(DegenerateBound):
+        with pytest.warns(DegenerateBound) as caught:
+            line = inspect.currentframe().f_lineno + 1
             assert skill_link_prob(5, 1e-3, 10.0, 0.0, 1.0) == 0.0
+        # the warning points at the caller's line, not into the library
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -332,12 +336,21 @@ class TestLevelRecursion:
                 40,
                 400,
             ),
+            # gamma_1 = 0.068 is live, but gamma_1^(2 * 200) underflows to 0
+            (
+                SkillHierarchy(
+                    S=(50,) * 4, eta=(248.0, 2.0, 2.0, 2.0), sigma=(0.0, 200.0, 1.0, 0.0)
+                ),
+                2000,
+                40000,
+            ),
         ],
-        ids=["frontier", "revived_level", "degenerate_in_tail"],
+        ids=["frontier", "revived_level", "degenerate_in_tail", "underflow"],
     )
     def test_zero_tail_matches_every_level_evaluated(self, case):
-        """Skipping the levels above a dead one gives the rows and warnings
-        of a loop that calls skill_link_prob and gcc_fraction on every level."""
+        """The link bound's early return at a zero prerequisite factor gives
+        the rows and warnings of a loop over the public, checked
+        skill_link_prob and gcc_fraction."""
         h, R, T = case
 
         def reference():
@@ -367,15 +380,29 @@ class TestLevelRecursion:
         dead = [r.gamma == 0.0 for r in want]
         tail = [dead[i - 1] and h.sigma[i] > 0 for i in range(1, h.L)]
         assert any(tail)
+        underflow = [
+            0.0 < want[i - 1].gamma and want[i - 1].gamma ** (2.0 * h.sigma[i]) == 0.0
+            for i in range(1, h.L)
+        ]
         if R == 40:
             assert len(warned) == 2
-        if R == 2000:
+        if h.L == 6 and R == 2000:
             assert dead == [False, True, True, False, True, True]
+        if h.L == 4:
+            assert dead == [False, True, True, False] and underflow == [True, False, False]
+        else:
+            assert not any(underflow)
+
+    def test_level_recursion_without_texts_names_p_rr(self):
+        """T = 0 makes every co-occurrence probability 0, outside (0, 1)."""
+        h = SkillHierarchy.exponential_thresholds(5, 100)
+        with pytest.raises(ValueError, match="p_rr"):
+            level_recursion(h, 1000, 0, 6.0)
 
     def test_level_work_is_pinned(self, monkeypatch):
-        """At the 5 benchmark frontier optima the recursions call
-        skill_link_prob 237 times, not once per level (500): the levels
-        above the first dead one cost no link bound."""
+        """At the 5 benchmark frontier optima the recursions evaluate the
+        Chernoff term 237 times, not once per level (500): the levels
+        above the first dead one return at their zero prerequisite factor."""
         specs = [
             BudgetSpec(C=float(c), varsigma=2e5, tau=8e5, d_t=6.0, epsilon=0.5)
             for c in np.geomspace(1e21, 1e25, 5)
@@ -383,12 +410,13 @@ class TestLevelRecursion:
         opts = [optimize_budget(s) for s in specs]
         h = SkillHierarchy.exponential_thresholds(100, 1000, eta_scale=7.0)
         calls = []
+        chernoff = emergence._kl_upper_exponent
 
         def counted(*args):
             calls.append(args)
-            return skill_link_prob(*args)
+            return chernoff(*args)
 
-        monkeypatch.setattr(emergence, "skill_link_prob", counted)
+        monkeypatch.setattr(emergence, "_kl_upper_exponent", counted)
         for opt in opts:
             level_recursion(h, opt.R_star, opt.T_star, 6.0)
         assert len(calls) == 237

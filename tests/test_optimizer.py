@@ -622,6 +622,7 @@ class TestSmoothingHelpers:
         assert interior_maxima(np.array([0.0, 1.0, 2.0, 3.0])) == 0
         assert interior_maxima(np.array([3.0, 2.0, 1.0])) == 0
         assert interior_maxima(np.array([0.0, 1.0, 1.0, 1.0, 0.0])) == 1
+        assert interior_maxima(np.array([])) == 0  # no interior point
 
     def test_interior_maxima_hysteresis(self):
         # a 5e-7 ripple on a unit peak is sawtooth, not structure

@@ -68,6 +68,14 @@ PROBED = {
     ),
     "isoflop_one_point_per_decade": lambda: isoflop_curve(BudgetSpec(C=1e5), 1),
     "resolve_threads_nan": lambda: peeling.resolve_threads(nan),
+    # a fractional count was truncated, passed through or failed later
+    "sample_graph_fractional_seed": lambda: peeling.sample_graph(40, 60, 0.1, 5.7),
+    "expected_learned_fractional_counts": lambda: optimizer.expected_learned(
+        100.7, 200.2, SPECS[0]
+    ),
+    "resolve_threads_fractional": lambda: peeling.resolve_threads(1.5),
+    "task_spec_fractional_level": lambda: TaskSpec(weights={(1.5, 1): 1.0}),
+    "sample_graph_integral_float_texts": lambda: peeling.sample_graph(40, 0.0, 0.1, 5),
 }
 
 
@@ -75,6 +83,15 @@ PROBED = {
 def test_probed_hole_raises_value_error(name):
     with pytest.raises(ValueError):
         PROBED[name]()
+
+
+def test_numpy_integer_counts_pass():
+    graph = peeling.sample_graph(np.int64(GRAPH_R), np.int32(GRAPH_T), 0.1, np.uint64(5))
+    want = peeling.sample_graph(GRAPH_R, GRAPH_T, 0.1, 5)
+    assert graph.indices.tobytes() == want.indices.tobytes()
+    assert DegreeModel(R=np.int64(1000), T=np.int64(4500), d_t=6.0) == MODEL
+    assert peeling.resolve_threads(np.int64(1)) == 1
+    assert TaskSpec(weights={(np.int64(1), np.int8(2)): 1.0}).max_level() == 1
 
 
 def test_task_above_hierarchy_fails_before_any_solve(monkeypatch):
@@ -104,11 +121,13 @@ class Arg:
     hi: float
     ends: str
     values: tuple
+    integer: bool = False
 
     def outside(self, v) -> bool:
         above = self.lo < v if self.ends[0] == "(" else self.lo <= v
         below = v < self.hi if self.ends[1] == ")" else v <= self.hi
-        return not (above and below)  # NaN is outside every interval
+        fractional = self.integer and not isinstance(v, (int, np.integer))
+        return not (above and below) or fractional  # NaN is outside every interval
 
 
 def real(default, lo, hi, ends="[]", *extra):
@@ -119,8 +138,9 @@ def real(default, lo, hi, ends="[]", *extra):
 
 
 def count(default, lo, *extra, hi=inf):
-    """A count, an int in [lo, hi): fuzzed with 0 for +-0.0, -1, lo and extra values."""
-    return Arg(lo, hi, "[)", (default, nan, inf, -inf, 0, -1, lo, *extra))
+    """A count, an int in [lo, hi): fuzzed with 0 for +-0.0, -1, lo, the
+    fraction 2.5 and extra values."""
+    return Arg(lo, hi, "[)", (default, nan, inf, -inf, 0, -1, lo, 2.5, *extra), integer=True)
 
 
 def _unit(x):
