@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 from .degree import DegreeModel, PolynomialPair
 from .threshold import (
     NonPositiveRadicand,
+    SolverWarning,
     ThresholdSolution,
     bit_erasure_rate,
     de_bit_erasure,

@@ -3,11 +3,16 @@
 Each subcommand reads a flat `key = value` config (strict: unknown keys
 are rejected with the offending line number), runs one pipeline, and
 writes a data file plus a `<out>.meta.json` sidecar recording the fully
-resolved parameters, package version, wall time, any solver warnings,
-and for Monte Carlo the seed and trial count.  A `--<key>` flag
-overrides a key and is checked as a config line is.  Data files are
-byte-identical for identical (config, seed) regardless of thread
-count; the sidecar is not (it carries wall time).
+resolved parameters, package version, wall time, and for Monte Carlo the
+seed and trial count.  A `--<key>` flag overrides a key and is checked
+as a config line is.  Data files are byte-identical for identical
+(config, seed) regardless of thread count; the sidecar is not (it
+carries wall time).
+
+Diagnostics travel as Python warnings only: the library's SolverWarning
+and DegenerateBound, emergence's undersampling note and the commands'
+own notes.  `run` catches every warning a command raises and lists the
+messages in the sidecar's `warnings`, in the order raised.
 
 Exit codes: 0 success; 1 invalid configuration: a bad key, value or
 parameter combination, reported with its config line where there is one,
@@ -149,11 +154,7 @@ class ConfigError(ValueError):
 
 
 class NumericFailure(Exception):
-    """Computation failed; params carries what was being evaluated."""
-
-    def __init__(self, message: str, params: dict):
-        super().__init__(message)
-        self.params = params
+    """A non-finite value reached the output."""
 
 
 def _convert(kind: str, raw: str, key: str, line: int):
@@ -303,9 +304,7 @@ def _cell(value):
         return int(value)
     f = float(value)
     if not math.isfinite(f):
-        raise NumericFailure(
-            f"non-finite value {f!r} in output", {"value": repr(value)}
-        )
+        raise NumericFailure(f"non-finite value {f!r} in output")
     return f
 
 
@@ -332,7 +331,7 @@ def _render_data(columns: list[str], rows: list[list], fmt: str) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _run_threshold(params: dict, extras: dict, notes: list[str]):
+def _run_threshold(params: dict, extras: dict):
     model = DegreeModel(
         R=params["R"], T=params["T"], d_t=params["d_t"],
         epsilon=params["epsilon"], eval_mode=params["eval_mode"],
@@ -341,7 +340,7 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
     ub = matching_upper_bound(model)
     p_b = bit_erasure_rate(model, sol)
     if sol.no_transition:
-        notes.append("NoTransition: no decoding transition for eps up to 1")
+        _warnings.warn("NoTransition: no decoding transition for eps up to 1")
     # the fixed point and scaling constants are undefined for a
     # no-transition sentinel, and alpha alone can be undefined when its
     # radicand is nonpositive: empty cells, never NaN
@@ -349,7 +348,7 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
     nu_cell = sol.nu_star if math.isfinite(sol.nu_star) else None
     alpha_cell = sol.alpha if math.isfinite(sol.alpha) else None
     if alpha_cell is None and not sol.no_transition:
-        notes.append("alpha undefined: nonpositive radicand at the threshold")
+        _warnings.warn("alpha undefined: nonpositive radicand at the threshold")
     columns = [
         "R", "T", "d_t", "epsilon", "eps_star", "x_star", "nu_star",
         "alpha", "no_transition", "matching_upper_bound", "bit_erasure_rate",
@@ -361,7 +360,7 @@ def _run_threshold(params: dict, extras: dict, notes: list[str]):
     return columns, rows
 
 
-def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
+def _run_peel_sim(params: dict, extras: dict):
     threads = resolve_threads(params["threads"])
     # the sidecar records the count the run used
     params["threads"] = threads
@@ -388,7 +387,7 @@ def _run_peel_sim(params: dict, extras: dict, notes: list[str]):
     return columns, rows
 
 
-def _run_isoflop(params: dict, extras: dict, notes: list[str]):
+def _run_isoflop(params: dict, extras: dict):
     specs = _resolve_budget_specs(params)
     columns = ["C", "R", "T", "objective", "eps_star"]
     rows: list[list] = []
@@ -405,7 +404,7 @@ def _run_isoflop(params: dict, extras: dict, notes: list[str]):
     return columns, rows
 
 
-def _run_frontier(params: dict, extras: dict, notes: list[str]):
+def _run_frontier(params: dict, extras: dict):
     specs = _resolve_budget_specs(params)
     opts = [optimize_budget(s) for s in specs]
     columns = [
@@ -421,11 +420,11 @@ def _run_frontier(params: dict, extras: dict, notes: list[str]):
         fit = scaling_exponents(specs, allocations=opts)
         extras["scaling_fit"] = {"a": fit.a, "b": fit.b, "r2": fit.r2}
     else:
-        notes.append("fewer than 5 budgets: no scaling-exponent fit")
+        _warnings.warn("fewer than 5 budgets: no scaling-exponent fit")
     return columns, rows
 
 
-def _run_loss(params: dict, extras: dict, notes: list[str]):
+def _run_loss(params: dict, extras: dict):
     specs = _resolve_budget_specs(params)
     frontier = frontier_loss_curve(specs)
     columns = [
@@ -451,9 +450,8 @@ def _emergence_curve(params: dict):
     return specs, h, curve
 
 
-def _run_emergence(params: dict, extras: dict, notes: list[str]):
+def _run_emergence(params: dict, extras: dict):
     specs, h, curve = _emergence_curve(params)
-    notes.extend(curve.warnings)
     if params["per_level"]:
         columns = ["C", "l", "p_rr", "p_l", "mean_degree", "gamma_l"]
         rows = []
@@ -501,9 +499,8 @@ def _segment_report(curve, segments) -> dict:
     }
 
 
-def _run_plateaus(params: dict, extras: dict, notes: list[str]):
+def _run_plateaus(params: dict, extras: dict):
     _, _, curve = _emergence_curve(params)
-    notes.extend(curve.warnings)
     segments = detect_plateaus(
         curve, params["slope_tol"], params["min_width_decades"]
     )
@@ -555,18 +552,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(command: str, params: dict) -> int:
     """Execute one resolved config; returns the process exit code."""
     extras: dict = {}
-    notes: list[str] = []
     started = time.time()
     try:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
-            columns, rows = _RUNNERS[command](params, extras, notes)
-        notes.extend(str(w.message) for w in caught)
+            columns, rows = _RUNNERS[command](params, extras)
         out_path = params["out"] or f"{command.replace('-', '_')}.{params['format']}"
         data = _render_data(columns, rows, params["format"])
     # EmptyGrid and TooFewPoints are ValueErrors, so they go first
     except (NumericFailure, EmptyGrid, TooFewPoints, BudgetExceeded) as exc:
-        shown = exc.params if isinstance(exc, NumericFailure) else {
+        shown = {
             k: params[k] for k in SCHEMAS[command]
             if k not in _COMMON_KEYS and params[k] is not None
         }
@@ -587,7 +582,7 @@ def run(command: str, params: dict) -> int:
         "out": out_path,
         "rows": len(rows),
         "wall_time_s": round(time.time() - started, 6),
-        "warnings": notes,
+        "warnings": [str(w.message) for w in caught],
         **extras,
     }
     if "seed" in params:  # a Monte-Carlo run

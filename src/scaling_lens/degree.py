@@ -169,17 +169,14 @@ class DegreeModel(_Binomial):
     def g(self, x):
         """g(x) = lam(1 - rho(1 - x)) at a float or an array.
 
-        A float x (np.float64 included), as in the DE orbits, runs
-        straight-line math code; math's bits can differ from the array
-        path's in the last place.  An array composes the gen calls.
+        A float x (np.float64 included) in exact_log mode, as in the DE
+        orbits, runs straight-line math code; math's bits can differ from
+        the array path's in the last place.  Otherwise g composes the gen calls.
         """
-        if not isinstance(x, float):
+        if not isinstance(x, float) or self.eval_mode == "poisson_limit":
             return super().g(x)
         p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, self.T - 1.0
         x_rho = 1.0 - x  # p*(x_rho - 1) and p*(-x) can differ in the last bit
-        if self.eval_mode == "poisson_limit":
-            y = 1.0 - math.exp(-n_rho * p * (1.0 - x_rho))
-            return math.exp(-n_lam * p * (1.0 - y))
         e = n_rho * math.log1p(p * (x_rho - 1.0))
         y = 1.0 - (0.0 if e < _LOG_UNDERFLOW else math.exp(e))
         e = n_lam * math.log1p(p * (y - 1.0))

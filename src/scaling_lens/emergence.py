@@ -169,7 +169,6 @@ class EmergenceCurve:
     T_star: np.ndarray
     accuracy: np.ndarray
     gamma: np.ndarray  # shape (n_budgets, L)
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -271,6 +270,12 @@ def lambert_w0(z: float) -> float:
     return _w0(max(in_range("z", z, -INV_E - 1e-12, math.inf, "[)"), -INV_E))
 
 
+def _w0_branch(ez1: float) -> float:
+    """Series start of W near the branch point, from ez1 = e*z + 1 >= 0."""
+    p = math.sqrt(2.0 * ez1)
+    return -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
+
+
 def _w0(z: float) -> float:
     """lambert_w0 on z in [-1/e, inf), unchecked."""
     tol = 1e-13 * max(1.0, abs(z))
@@ -283,8 +288,7 @@ def _w0(z: float) -> float:
     if ez1 < 0.0:
         ez1 = 0.0
     if ez1 < 1e-3 or (z < -0.25 and ez1 < 0.35):
-        p = math.sqrt(2.0 * ez1)
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
+        w = _w0_branch(ez1)
     elif z > 3.0:
         l1 = math.log(z)
         l2 = math.log(l1)
@@ -331,8 +335,7 @@ def _gcc(c: float) -> float:
     u = math.log(c) + 1.0 - c
     ez1 = -math.expm1(u)
     if ez1 < 1e-3:
-        p = math.sqrt(2.0 * ez1)
-        w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0 - 43.0 * p**4 / 540.0
+        w = _w0_branch(ez1)
     else:
         w = _w0(-c * math.exp(-c))
     gamma = 1.0 + w / c
@@ -465,23 +468,22 @@ def accuracy_vs_compute(
     Precomputed allocations (from optimize_budget on the same specs) can
     be passed to amortize the optimizer across several tasks.  A task
     that references a level above the hierarchy fails before any solve.
+    An R* below max(S) warns once: the skill mapping is undersampled.
     """
     _check_levels(task, h.L)
     if allocations is None:
         allocations = [optimize_budget(s) for s in specs]
     if len(allocations) != len(specs):
         raise ValueError("allocations must match specs one-to-one")
-    notes: list[str] = []
+    s_max = max(h.S)
+    low = [o.R_star for o in allocations if o.R_star < s_max]
+    if low:
+        note = f"R* = {low[0]} below max level size S = {s_max}: "
+        warnings.warn(note + "uniform concept-to-skill mapping is undersampled", stacklevel=2)
     n = len(specs)
     gamma = np.zeros((n, h.L))
     acc = np.zeros(n)
-    s_max = max(h.S)
     for i, (spec, opt) in enumerate(zip(specs, allocations)):
-        if opt.R_star < s_max and not notes:
-            notes.append(
-                f"R* = {opt.R_star} below max level size S = {s_max}: "
-                "uniform concept-to-skill mapping is undersampled"
-            )
         g = level_recursion(h, opt.R_star, opt.T_star, spec.d_t)
         gamma[i] = g
         acc[i] = task_accuracy(g, task)
@@ -492,7 +494,6 @@ def accuracy_vs_compute(
         T_star=np.array([o.T_star for o in allocations], dtype=np.int64),
         accuracy=acc,
         gamma=gamma,
-        warnings=tuple(notes),
     )
 
 

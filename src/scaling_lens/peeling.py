@@ -323,10 +323,6 @@ def _run_trials(trial_fn, trials: int, threads: int | None) -> np.ndarray:
     count_in("trials", trials, 1)
     n_workers = resolve_threads(threads)
     values = np.empty(trials, dtype=np.float64)
-    if n_workers == 1:
-        for i in range(trials):
-            values[i] = trial_fn(i)
-        return values
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         for i, v in zip(range(trials), pool.map(trial_fn, range(trials))):
             values[i] = v

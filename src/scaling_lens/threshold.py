@@ -40,12 +40,16 @@ nu_star and alpha take rho and rho' at xbar and xbar**2 (xbar = 1 - x_star),
 then lam at y and y**2, lam'(y**2) and L(y), with y = 1 - rho(xbar).  The
 functions at each of these four points come from one log term
 log1p(p*(x - 1)) per point, on floats, with the bits of the array path.
+
+Diagnostics are warnings of category SolverWarning: a DE orbit at its
+iteration cap, a solve stopped after MAX_CUT_PASSES passes, and tied wells
+of x/g(x).  A solve with no transition warns nothing: no_transition says so.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,7 @@ from .degree import DegreeModel
 __all__ = [
     "ThresholdSolution",
     "NonPositiveRadicand",
+    "SolverWarning",
     "qfunc",
     "de_map",
     "de_fixed_point",
@@ -66,8 +71,6 @@ __all__ = [
     "bit_erasure_rate",
     "prob_concept_unlearned",
 ]
-
-logger = logging.getLogger(__name__)
 
 X_GRID_LO = 1e-9
 # the x grid every threshold solve minimizes x/g(x) over
@@ -84,6 +87,10 @@ TIE_WINDOW = 1e-9
 
 class NonPositiveRadicand(Exception):
     """The scaling-slope radicand is not positive at the given point."""
+
+
+class SolverWarning(UserWarning):
+    """A DE iteration cap, a MAX_CUT_PASSES stop or a tie of x/g(x) minima."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ def _iterate(
         if abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
             return x_next
         x = x_next
-    logger.debug("DE iteration cap %d hit at eps=%.12g, x=%.12g", max_iter, eps, x)
+    warnings.warn(f"DE iteration cap {max_iter} hit at eps={eps:.12g}, x={x:.12g}", SolverWarning)
     return x
 
 
@@ -260,7 +267,6 @@ def find_threshold(model) -> ThresholdSolution:
         hi = 1.0
         r, x_star, tied, on_cut = m(hi)
         if r > hi:
-            logger.debug("no fixed point up to eps=1; returning sentinel")
             nu, al = _solution_constants(model, hi, x_star)
             return ThresholdSolution(
                 hi, x_star, nu, al, no_transition=True, tied_maximizer=tied
@@ -289,9 +295,11 @@ def find_threshold(model) -> ThresholdSolution:
             if h_hi == 0.0 or (hi - lo if lo is not None else prev[0] - hi) <= 1e-12:
                 break
         else:
-            logger.info("threshold solve stopped after %d passes at eps=%.12g", MAX_CUT_PASSES, hi)
+            stop = f"threshold solve stopped after {MAX_CUT_PASSES} passes at eps={hi:.12g}"
+            warnings.warn(stop, SolverWarning, stacklevel=2)
         if tied:
-            logger.info("tied minimizers of x/g(x) at eps=%.9g; keeping largest x", hi)
+            tie = f"tied minimizers of x/g(x) at eps={hi:.9g}; keeping largest x"
+            warnings.warn(tie, SolverWarning, stacklevel=2)
         nu_star, alpha = _solution_constants(model, hi, x_star)
         return ThresholdSolution(
             hi, x_star, nu_star, alpha, tied_maximizer=tied, on_junk_cut=on_cut

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from scaling_lens import cli
+from scaling_lens import cli, threshold
 from scaling_lens.degree import DegreeModel
 from scaling_lens.peeling import mc_parent_graph_erasure
+from scaling_lens.threshold import SolverWarning, bit_erasure_rate, find_threshold
 
 
 def write_config(tmp_path, text, name="run.txt"):
@@ -108,6 +109,17 @@ class TestExitCodes:
         assert "numeric failure" in err
         assert "parameters" in err
         assert "100000" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
+
+    def test_non_finite_output_echoes_parameters(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "matching_upper_bound", lambda model: math.nan)
+        cfg = write_config(tmp_path, THRESHOLD_OK)
+        assert run_cli(["threshold", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "numeric failure: non-finite value nan in output" in err
+        assert "'R': 1000" in err and "'out'" not in err
         assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
     def test_missing_output_directory_is_one_line_error(self, tmp_path, capsys, monkeypatch):
@@ -228,7 +240,40 @@ class TestThresholdCommand:
         assert float(cells[10]) > 0.0
         assert abs(float(cells[10]) - mc.mean) <= 3.0 * mc.stderr
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
-        assert any("NoTransition" in w for w in meta["warnings"])
+        # the command's note only: the solver's sentinel is no SolverWarning
+        assert meta["warnings"] == ["NoTransition: no decoding transition for eps up to 1"]
+
+    # event: ((R, T) at d_t = 6, the forcing patch, the start of the one warning)
+    SOLVER_EVENTS = {
+        # eps = 0.5 is above threshold, so the rate runs the DE orbit from x = 1
+        "cap": ((1000, 4500), ("DE_MAX_ITER", 3), "DE iteration cap 3 hit at eps=0.5, x="),
+        # the junk-cut solve needs more than one pass
+        "stop": ((206, 48), ("MAX_CUT_PASSES", 1), "threshold solve stopped after 1 passes at eps="),
+        "tie": ((1000, 4500), None, "tied minimizers of x/g(x) at eps=0.498873; keeping largest x"),
+    }
+
+    @pytest.mark.parametrize("event", SOLVER_EVENTS)
+    def test_solver_event_is_one_sidecar_warning(self, event, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (R, T), patch, start = self.SOLVER_EVENTS[event]
+        if patch is None:
+            min_above = threshold._min_above
+
+            def tied(*args):
+                r, x, _, on_cut = min_above(*args)
+                return r, x, True, on_cut
+
+            patch = ("_min_above", tied)
+        monkeypatch.setattr(threshold, *patch)
+        model = DegreeModel(R=R, T=T, d_t=6.0)
+        # what the threshold command runs, outside the CLI
+        with pytest.warns(SolverWarning) as record:
+            bit_erasure_rate(model, find_threshold(model))
+        assert [str(w.message)[: len(start)] for w in record] == [start]
+        cfg = write_config(tmp_path, f"R = {R}\nT = {T}\nd_t = 6\n")
+        assert run_cli(["threshold", "--config", cfg, "--out", "t.csv"]) == 0
+        meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+        assert meta["warnings"] == [str(record[0].message)]
 
     def test_json_format_matches_csv_values(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -552,15 +597,30 @@ class TestShippedOutputDigests:
             "b501cc3408df52f5b96050ed645da2ce9284c5d114e5c1b3969ad3aa53d62187",
     }
 
+    UNDERSAMPLED = [
+        "R* = 155 below max level size S = 1000: "
+        "uniform concept-to-skill mapping is undersampled"
+    ]
+    # each run's sidecar warnings: the isoflop desk's no-transition rows
+    # and every clean solve warn nothing
+    WARNINGS = {
+        **{key: [] for key in DIGESTS},
+        ("emergence", "emergence_multimodal_plateaus.txt"): UNDERSAMPLED,
+        ("plateaus", "emergence_multimodal_plateaus.txt"): UNDERSAMPLED,
+    }
+
     def test_data_files_match_recorded_digests(self, tmp_path):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
-        got = {}
+        got, warned = {}, {}
         for command, name in self.DIGESTS:
             out = tmp_path / f"{command}-{name}.csv"
             argv = [command, "--config", os.path.join(root, name), "--out", str(out)]
             assert run_cli(argv) == 0, (command, name)
             got[command, name] = hashlib.sha256(out.read_bytes()).hexdigest()
+            meta = json.loads((tmp_path / f"{out.name}.meta.json").read_text())
+            warned[command, name] = meta["warnings"]
         assert got == self.DIGESTS
+        assert warned == self.WARNINGS
 
 
 class TestDeterminism:

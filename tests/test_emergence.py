@@ -536,15 +536,21 @@ class TestAccuracyVsCompute:
         with pytest.raises(ValueError):
             accuracy_vs_compute(specs, h, task, allocations=opts[:-1])
 
-    def test_undersampled_mapping_warns_in_metadata(self):
+    def test_undersampled_mapping_warns_once(self):
         specs = [BudgetSpec(C=c, d_t=6.0) for c in np.geomspace(6e2, 6e3, 2)]
         h = SkillHierarchy.exponential_thresholds(3, 10**4)
         task = TaskSpec.homogeneous(level=1, m=1)
-        with warnings.catch_warnings():
-            # tiny R against huge S also trips the impossible-tail warning
-            warnings.simplefilter("ignore", DegenerateBound)
-            curve = accuracy_vs_compute(specs, h, task)
-        assert any("undersampled" in w for w in curve.warnings)
+        opts = [optimize_budget(s) for s in specs]
+        assert all(o.R_star < 10**4 for o in opts)
+        with pytest.warns(UserWarning) as record:
+            accuracy_vs_compute(specs, h, task, allocations=opts)
+        # tiny R against huge S also trips the impossible-tail warning
+        notes = [w for w in record if w.category is UserWarning]
+        assert [str(w.message) for w in notes] == [
+            f"R* = {opts[0].R_star} below max level size S = 10000: "
+            "uniform concept-to-skill mapping is undersampled"
+        ]
+        assert notes[0].filename == __file__
 
 
 def synthetic_curve(log_c, accuracy):

@@ -1,6 +1,5 @@
 """Tests for density evolution, the threshold solver, and the waterfall law."""
 
-import logging
 import math
 import re
 import warnings
@@ -17,6 +16,7 @@ from scaling_lens.optimizer import BudgetSpec, _geometric_ints, _r_bounds, isofl
 from scaling_lens.peeling import mc_parent_graph_erasure
 from scaling_lens import threshold
 from scaling_lens.threshold import (
+    SolverWarning,
     ThresholdSolution,
     bit_erasure_rate,
     de_map,
@@ -419,21 +419,21 @@ class TestErrorState:
             threshold._ratio(model, threshold.X_GRID)
 
 
-class TestIterationCapLogging:
-    def test_cap_hit_logs_once_with_eps_and_x(self, caplog):
+class TestIterationCapWarning:
+    def test_cap_hit_warns_once_with_eps_and_x(self):
         model = DegreeModel(R=206, T=48, d_t=6.0)
-        with caplog.at_level(logging.DEBUG, logger="scaling_lens.threshold"):
+        with pytest.warns(SolverWarning) as record:
             x = _trivial_branch(model, 0.5, max_iter=3)
-        records = [r for r in caplog.records if "cap" in r.getMessage()]
-        assert len(records) == 1
-        assert records[0].levelno == logging.DEBUG
-        assert "eps=0.5" in records[0].getMessage()
-        assert f"x={x:.12g}" in records[0].getMessage()
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "cap 3" in message and "eps=0.5" in message
+        assert f"x={x:.12g}" in message
 
-    def test_converged_orbit_is_silent(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="scaling_lens.threshold"):
+    def test_converged_orbit_is_silent(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             threshold.de_fixed_point(DegreeModel(R=1000, T=4500, d_t=6.0), 0.5)
-        assert not [r for r in caplog.records if "cap" in r.getMessage()]
+        assert caught == []
 
 
 class TestMatchingUpperBound:

@@ -394,7 +394,7 @@ CASES = {
 # fuzzed either: every fuzzed call runs on one thread.
 NOT_FUZZED = {
     "BinomialRows", "binomial_gen", "log_gen",  # array kernels, unchecked by design
-    "ThresholdSolution", "NonPositiveRadicand", "de_map",
+    "ThresholdSolution", "NonPositiveRadicand", "SolverWarning", "de_map",
     "EmptyGrid", "InsufficientPoints", "IsoflopCurve", "OptimumPoint", "ScalingFit",
     "smooth3",
     "APPROX_CONSTANT_DISCREPANCY", "FrontierRow", "LossPoint",
