@@ -257,13 +257,12 @@ def _row_bounds(grid: np.ndarray, spec: BudgetSpec) -> np.ndarray:
     R*(1 - L(1 - rho(1 - x_s))).  Up to threshold the rate takes x_inf on
     the trivial branch, reached from x = 0, so there the bound needs x_s
     at or below that branch.  It rests on the sample lying on the
-    solver's X_GRID: find_threshold minimizes x/g(x) over that grid above
-    the junk cut, so up to threshold no sampled x above the cut has
-    x/g(x) below eps, and below the cut the trivial branch is the only
-    fixed point, as the cut itself assumes.  The relative slacks 1e-6 on
-    eps and 1e-9 on the product absorb roundoff.  The argument fails only
-    for a solve that stops at MAX_CUT_PASSES, which none did in sweeps of
-    over 100k rows.
+    solver's X_GRID: find_threshold minimizes x/g(x) over that grid from
+    its first turning point x_M on, so up to threshold no sampled x at or
+    above x_M has x/g(x) below eps.  Below x_M x/g(x) rises, so it stays
+    below eps up to a sampled x_s and the trivial branch, its first root
+    of x/g(x) = eps, lies above x_s.  The relative slacks 1e-6 on eps and
+    1e-9 on the product absorb roundoff.
     """
     rows = _rows(grid, spec)
     xs, eps = STALL_SAMPLE, spec.epsilon

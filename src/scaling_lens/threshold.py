@@ -21,20 +21,15 @@ assembled from the degree polynomials and their derivatives.
 
 Binomial ensembles have concepts of degree 0 and 1, so f(0+, eps) > 0 and
 a tiny "junk" fixed point exists at every eps (isolated concepts can never
-be learned).  The solver excludes that trivial branch by iterating f from
-x = 0 and restricting the minimum to x above twice the limit; for clean
-operating points the branch sits far below the 1e-9 grid floor and the
-exclusion is inert.  The exclusion is capped at a few times the seed mass
-eps*lam(0): once the orbit from 0 climbs past that scale the junk branch
-has merged with a genuine fixed point, which must count.  As the orbit
-from 0 never decreases, it stops as soon as twice its value reaches that
-cap: the cut is then the cap whatever the limit, so junk-dominated models
-need a few DE steps per cut instead of hundreds.  (de_fixed_point needs
-the exact limit and runs the full orbit.)  As this cut depends on eps,
-find_threshold iterates eps <- min x/g(x) down from eps = 1 and, where the
-minimum sits on the cut, solves for the crossing instead.  The minimum
-depends on eps only through the cut, so each solve computes it once per
-distinct cut; on clean models every pass shares the cut X_GRID_LO.
+be learned).  It is the root of x/g(x) = eps on the first rising stretch
+of x/g(x), which ends at the curve's first turning point x_M, and every
+fixed point above x_M is a genuine one.  So the threshold is the minimum
+of x/g(x) over x >= x_M, a search that does not depend on eps.
+find_threshold takes x/g(x) on X_GRID once, x_M as the first grid point
+where it stops rising (the left end where it starts out falling, as on
+data-rich models, where g underflows), and the minimum from there on.
+Without a turning point, or with that minimum above 1, the fixed point
+moves continuously with eps: a crossover, with no transition.
 
 nu_star and alpha take rho and rho' at xbar and xbar**2 (xbar = 1 - x_star),
 then lam at y and y**2, lam'(y**2) and L(y), with y = 1 - rho(xbar).  The
@@ -42,8 +37,8 @@ functions at each of these four points come from one log term
 log1p(p*(x - 1)) per point, on floats, with the bits of the array path.
 
 Diagnostics are warnings of category SolverWarning: a DE orbit at its
-iteration cap, a solve stopped after MAX_CUT_PASSES passes, and tied wells
-of x/g(x).  A solve with no transition warns nothing: no_transition says so.
+iteration cap and tied wells of x/g(x).  A solve with no transition warns
+nothing: no_transition says so.
 """
 
 from __future__ import annotations
@@ -72,15 +67,13 @@ __all__ = [
     "prob_concept_unlearned",
 ]
 
-X_GRID_LO = 1e-9
 # the x grid every threshold solve minimizes x/g(x) over
-X_GRID = np.geomspace(X_GRID_LO, 1.0, 2048)
+X_GRID = np.geomspace(1e-9, 1.0, 2048)
 X_GRID.setflags(write=False)
 _ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
 ZOOM_PASSES = 2
 # cap on the DE orbit from x = 1 in de_fixed_point
 DE_MAX_ITER = 30000
-MAX_CUT_PASSES = 64
 # separate wells of x/g(x) whose minima lie this close count as tied
 TIE_WINDOW = 1e-9
 
@@ -90,7 +83,7 @@ class NonPositiveRadicand(Exception):
 
 
 class SolverWarning(UserWarning):
-    """A DE iteration cap, a MAX_CUT_PASSES stop or a tie of x/g(x) minima."""
+    """A DE iteration cap or a tie of x/g(x) minima."""
 
 
 @dataclass(frozen=True)
@@ -103,8 +96,6 @@ class ThresholdSolution:
     alpha: float
     no_transition: bool = False
     tied_maximizer: bool = False
-    # the minimizer is the junk cut itself: no tangency, so no waterfall
-    on_junk_cut: bool = False
 
 
 def qfunc(z: float) -> float:
@@ -120,24 +111,17 @@ def de_map(model, x, eps):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _iterate(
-    model,
-    eps: float,
-    x0: float,
-    max_iter: int,
-    stop_below: float = -1.0,
-    stop_above: float = math.inf,
-):
-    """Iterate the DE map from x0 until it converges or leaves (stop_below, stop_above).
+def _iterate(model, eps: float, x0: float, max_iter: int, stop_below: float = -1.0):
+    """Iterate the DE map from x0 until it converges or falls to stop_below.
 
     The map is monotone in x so orbits are monotone; from above they bound
     the nearest fixed point from above at every step.  Hitting max_iter
-    returns the current iterate and logs it at debug level.
+    returns the current iterate and warns with a SolverWarning.
     """
     x = x0
     for _ in range(max_iter):
         x_next = eps * model.g(x)
-        if x_next <= stop_below or x_next >= stop_above:
+        if x_next <= stop_below:
             return x_next
         if abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
             return x_next
@@ -146,16 +130,9 @@ def _iterate(
     return x
 
 
-def _trivial_branch(
-    model, eps: float, max_iter: int = 2000, stop_above: float = math.inf
-) -> float:
-    """Smallest DE fixed point, reached by iterating upward from x = 0.
-
-    The orbit from 0 never decreases, so once it reaches stop_above every
-    later iterate, the fixed point included, lies at or above it; the
-    orbit stops there and returns that iterate.
-    """
-    return _iterate(model, eps, 0.0, max_iter, stop_above=stop_above)
+def _trivial_branch(model, eps: float, max_iter: int = 2000) -> float:
+    """Smallest DE fixed point, reached by iterating upward from x = 0."""
+    return _iterate(model, eps, 0.0, max_iter)
 
 
 def de_fixed_point(model, eps: float) -> float:
@@ -187,37 +164,14 @@ def _ratio(model, x):
     return x / model.g(x)
 
 
-def _junk_cut(model, eps: float) -> float:
-    """Lower end of the x range find_threshold minimizes x/g(x) over at eps."""
-    # the junk fixed point stays within a small factor of its seed
-    # eps*g(0) = eps*lam(0) while genuinely separated; an orbit that
-    # climbs past 4x the seed has merged with a real fixed point, so the
-    # cut must not exclude it; once 2*x reaches the cap the cut is the
-    # cap, so the orbit stops there
-    junk_cap = 4.0 * eps * model.g(0.0) + X_GRID_LO
-    x_triv = _trivial_branch(model, eps, stop_above=0.5 * junk_cap)
-    return max(X_GRID_LO, min(2.0 * x_triv, junk_cap))
+def _min_above(model, start: int, ratio):
+    """(min, x_at_min, tied) of x/g(x) over X_GRID[start:], given ratio on X_GRID.
 
-
-def _min_above(model, cut: float, ratio):
-    """(min, x_at_min, tied, on_cut) of x/g(x) over the cut and X_GRID above it.
-
-    It depends on eps only through the cut, so find_threshold computes it
-    once per distinct cut.  A geometric zoom around the minimizer recovers
-    x_star beyond grid resolution.  Of separate wells within 1e-9 of the
-    minimum the largest-x one wins: the decoder coming down from x = 1
-    stalls there.
+    A geometric zoom around the minimizer recovers x_star beyond grid
+    resolution.  Of separate wells within TIE_WINDOW of the minimum the
+    largest-x one wins: the decoder coming down from x = 1 stalls there.
     """
-    if cut >= 1.0:
-        return math.inf, math.nan, False, False
-    start = int(np.searchsorted(X_GRID, cut, side="right"))
-    # the cut is a grid point (X_GRID_LO on every clean model); as cut < 1,
-    # start = 0 wraps to X_GRID[-1] = 1 and never matches
-    if X_GRID[start - 1] == cut:
-        xs, rs = X_GRID[start - 1 :], ratio[start - 1 :]
-    else:
-        xs = np.concatenate(([cut], X_GRID[start:]))
-        rs = np.concatenate((_ratio(model, xs[:1]), ratio[start:]))
+    xs, rs = X_GRID[start:], ratio[start:]
     i = int(np.argmin(rs))
     near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
     gaps = np.flatnonzero(near[1:] - near[:-1] > 1)
@@ -234,82 +188,40 @@ def _min_above(model, cut: float, ratio):
         i = int(np.argmin(rs))
         if rs[i] < r_min:
             x_min, r_min = xs[i], rs[i]
-    return float(r_min), float(x_min), bool(gaps.size), bool(x_min == cut)
+    return float(r_min), float(x_min), bool(gaps.size)
 
 
 def find_threshold(model) -> ThresholdSolution:
-    """Decoding threshold: the first eps with eps >= m(eps).
+    """Decoding threshold: the minimum of x/g(x) above its first turning point.
 
-    m(eps) is the minimum of x/g(x) over the junk cut and the log-spaced
-    X_GRID above it.  From eps = 1 the iteration eps <- m(eps) falls, as the
-    cut does not decrease with eps, and stops in two passes when the
-    minimizer lies above the cut.  On the cut it would converge only
-    linearly, so there eps - m(eps) = 0 is solved by secant steps, then
-    false position once bracketed.  Works for any ensemble that answers
-    the interface listed in the degree module's docstring.
+    x/g(x) is taken once on the log-spaced X_GRID.  x_M is the first grid
+    point where it stops rising, and eps_star is its minimum over X_GRID
+    from x_M on (see the module docstring).  Works for any ensemble that
+    answers the interface listed in the degree module's docstring.
 
-    The threshold is defined over the whole range 0 <= eps <= 1, so the
-    solve needs no bracket.  If no fixed point exists even at eps = 1 the
-    returned solution carries eps_star = 1 with no_transition set.  Divide
-    and overflow warnings are silenced for the solve: g vanishes at low x
-    on data-rich models, where x/g(x) is +inf.
+    With no turning point, or a minimum above 1, no fixed point appears
+    as eps grows to 1: the solution is the sentinel eps_star = 1 with
+    no_transition set and x_star, nu_star and alpha nan.  Divide and
+    overflow warnings are silenced for the solve: g vanishes at low x on
+    data-rich models, where x/g(x) is +inf.
     """
     with np.errstate(divide="ignore", over="ignore"):
         ratio = _ratio(model, X_GRID)
-        minima: dict[float, tuple] = {}
-
-        def m(eps):
-            cut = _junk_cut(model, eps)
-            if cut not in minima:
-                minima[cut] = _min_above(model, cut, ratio)
-            return minima[cut]
-
-        hi = 1.0
-        r, x_star, tied, on_cut = m(hi)
-        if r > hi:
-            nu, al = _solution_constants(model, hi, x_star)
-            return ThresholdSolution(
-                hi, x_star, nu, al, no_transition=True, tied_maximizer=tied
-            )
-
-        # h = eps - m(eps) >= 0 at hi; the first step is the plain iteration,
-        # then secants through the last two upper ends until one lands on h < 0
-        # at lo, and Illinois false position in [lo, hi] from there
-        h_hi, prev, lo, h_lo, side = hi - r, None, None, 0.0, 0
-        for _ in range(MAX_CUT_PASSES):
-            if lo is not None:
-                eps = hi - h_hi * (hi - lo) / (h_hi - h_lo)
-            elif prev is not None and prev[1] > h_hi:
-                eps = max(0.0, hi - h_hi * (prev[0] - hi) / (prev[1] - h_hi))
-            else:
-                eps = r
-            r, x, t, c = m(eps)
-            if r <= eps:
-                prev, hi, h_hi, x_star, tied, on_cut = (hi, h_hi), eps, eps - r, x, t, c
-                h_lo *= 0.5 if side > 0 else 1.0
-                side = 1
-            else:
-                lo, h_lo = eps, eps - r
-                h_hi *= 0.5 if side < 0 else 1.0
-                side = -1
-            if h_hi == 0.0 or (hi - lo if lo is not None else prev[0] - hi) <= 1e-12:
-                break
-        else:
-            stop = f"threshold solve stopped after {MAX_CUT_PASSES} passes at eps={hi:.12g}"
-            warnings.warn(stop, SolverWarning, stacklevel=2)
+        turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
+        eps_star = math.inf
+        if turns.size:
+            eps_star, x_star, tied = _min_above(model, int(turns[0]), ratio)
+        if eps_star > 1.0:
+            return ThresholdSolution(1.0, math.nan, math.nan, math.nan, no_transition=True)
         if tied:
-            tie = f"tied minimizers of x/g(x) at eps={hi:.9g}; keeping largest x"
+            tie = f"tied minimizers of x/g(x) at eps={eps_star:.9g}; keeping largest x"
             warnings.warn(tie, SolverWarning, stacklevel=2)
-        nu_star, alpha = _solution_constants(model, hi, x_star)
-        return ThresholdSolution(
-            hi, x_star, nu_star, alpha, tied_maximizer=tied, on_junk_cut=on_cut
-        )
+        nu_star, alpha = _solution_constants(model, eps_star, x_star)
+        return ThresholdSolution(eps_star, x_star, nu_star, alpha, tied_maximizer=tied)
 
 
 def _solution_constants(model, eps_star: float, x_star: float):
     """(nu_star, alpha) at the tangency; alpha is nan where scaling_alpha fails."""
-    if not math.isfinite(x_star):
-        return math.nan, math.nan
     terms = _tangent_terms(model, x_star)
     nu_star = eps_star * terms[-1]
     try:
@@ -386,19 +298,19 @@ def bit_erasure_rate(model: DegreeModel, sol: ThresholdSolution) -> float:
     parent-graph size R/eps, or the density-evolution rate
     eps*L(1 - rho(1 - x_inf)) if that is larger, x_inf the end of the DE
     orbit from x = 1.  So the rate is never below eps*L(0), the erased
-    concepts that no text covers.  With no transition, and on the junk
-    cut, which has no waterfall, there is no law and the rate is the DE
-    one.  Below threshold the orbit from x = 1 ends on the trivial branch,
-    so up to threshold x_inf is taken there, from the orbit from x = 0,
-    which skips the slow pass near the tangency; deep below threshold the
-    law's Q factor underflows and the DE rate is the rate.  Strictly
-    above threshold the law saturates at nu_star while the DE rate keeps
-    growing.  Monte Carlo backs each branch; with the law alone the
-    optimizer's objective overshoots the failure regime by an order of
-    magnitude, and below threshold it learns concepts that no text covers.
+    concepts that no text covers.  With no transition there is no law
+    and the rate is the DE one.  Below threshold the orbit from x = 1 ends
+    on the trivial branch, so up to threshold x_inf is taken there, from
+    the orbit from x = 0, which skips the slow pass near the tangency;
+    deep below threshold the law's Q factor underflows and the DE rate is
+    the rate.  Strictly above threshold the law saturates at nu_star while
+    the DE rate keeps growing.  Monte Carlo backs each branch; with the law
+    alone the optimizer's objective overshoots the failure regime by an
+    order of magnitude, and below threshold it learns concepts that no text
+    covers.
     """
     eps = model.epsilon
-    if sol.on_junk_cut or sol.no_transition:
+    if sol.no_transition:
         return de_bit_erasure(model, eps)
     z = math.sqrt(model.R / eps) * (sol.eps_star - eps) / sol.alpha
     law = sol.nu_star * qfunc(z)

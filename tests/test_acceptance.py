@@ -180,6 +180,25 @@ def _dense_grid_threshold(pair, dx=1e-6):
     return float(ratio.min())
 
 
+def _orbits_split(model, eps):
+    """Independent oracle: do the DE orbits from x = 0 and x = 1 end apart?
+
+    They end on the smallest and the largest fixed point, so they split
+    exactly where a non-trivial fixed point exists.
+    """
+
+    def end(x, stop_below):
+        for _ in range(10**7):
+            x_next = eps * model.g(x)
+            if x_next <= stop_below or abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
+                return x_next
+            x = x_next
+        raise AssertionError(f"DE orbit did not settle at eps={eps!r}")
+
+    meet = end(0.0, -1.0) * (1.0 + 1e-6) + 1e-15
+    return end(1.0, meet) > meet
+
+
 def test_criterion_5_regular_pair_threshold_and_bound():
     t0 = time.time()
     pair = PolynomialPair(
@@ -190,7 +209,9 @@ def test_criterion_5_regular_pair_threshold_and_bound():
     assert abs(sol.eps_star - 0.4294) <= 1e-3
     assert abs(sol.eps_star - _dense_grid_threshold(pair)) <= 1e-6
 
+    # a threshold lies below the matching bound; a crossover has no jump
     rng = np.random.default_rng(7)
+    crossovers = 0
     for _ in range(50):
         R = int(rng.integers(20, 3000))
         d_t = float(rng.uniform(1.2, 9.0))
@@ -198,7 +219,12 @@ def test_criterion_5_regular_pair_threshold_and_bound():
         eps = float(rng.uniform(0.2, 0.9))
         model = DegreeModel(R=R, T=max(T, 2), d_t=d_t, epsilon=eps)
         sol = find_threshold(model)
-        assert sol.eps_star <= matching_upper_bound(model) + 1e-6
+        if sol.no_transition:
+            crossovers += 1
+            assert not any(_orbits_split(model, e) for e in np.linspace(0.01, 1.0, 100))
+        else:
+            assert sol.eps_star <= matching_upper_bound(model) + 1e-6
+    assert 0 < crossovers < 50
 
     elapsed = time.time() - t0
     assert elapsed < 60.0

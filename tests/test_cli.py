@@ -215,7 +215,7 @@ class TestThresholdCommand:
         assert cells[8] == "0"
 
     def test_junk_cut_rate_matches_monte_carlo(self, tmp_path, monkeypatch):
-        """A threshold on the junk cut reports the simulated stall, not the law's half of it."""
+        """A junk-dominated crossover reports the simulated stall, not a law's half of it."""
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, "R = 206\nT = 48\nd_t = 6\nepsilon = 0.5\nout = j.csv\n")
         assert run_cli(["threshold", "--config", cfg]) == 0
@@ -242,13 +242,16 @@ class TestThresholdCommand:
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         # the command's note only: the solver's sentinel is no SolverWarning
         assert meta["warnings"] == ["NoTransition: no decoding transition for eps up to 1"]
+        # a crossover with d_t > 1 leaves the same cells empty
+        cfg = write_config(tmp_path, "R = 217\nT = 1978\nd_t = 2.112\nout = c.csv\n")
+        assert run_cli(["threshold", "--config", cfg]) == 0
+        cells = (tmp_path / "c.csv").read_bytes().split(b"\r\n")[1].decode().split(",")
+        assert cells[4:9] == ["1", "", "", "", "1"]
 
     # event: ((R, T) at d_t = 6, the forcing patch, the start of the one warning)
     SOLVER_EVENTS = {
         # eps = 0.5 is above threshold, so the rate runs the DE orbit from x = 1
         "cap": ((1000, 4500), ("DE_MAX_ITER", 3), "DE iteration cap 3 hit at eps=0.5, x="),
-        # the junk-cut solve needs more than one pass
-        "stop": ((206, 48), ("MAX_CUT_PASSES", 1), "threshold solve stopped after 1 passes at eps="),
         "tie": ((1000, 4500), None, "tied minimizers of x/g(x) at eps=0.498873; keeping largest x"),
     }
 
@@ -260,8 +263,8 @@ class TestThresholdCommand:
             min_above = threshold._min_above
 
             def tied(*args):
-                r, x, _, on_cut = min_above(*args)
-                return r, x, True, on_cut
+                r, x, _ = min_above(*args)
+                return r, x, True
 
             patch = ("_min_above", tied)
         monkeypatch.setattr(threshold, *patch)
@@ -582,7 +585,7 @@ class TestShippedOutputDigests:
         ("threshold", "threshold_rate_half.txt"):
             "322f4cb45a409b23fe6c0cbb7878851089ceef07a7bbae1b7ae5e43efdaa61a2",
         ("isoflop", "isoflop_desk.txt"):
-            "ae25ce7b87e4d5512c6ac65f29c646e4f44ebcf058b7a35c3f2040aea69e03e9",
+            "66ece6f8dd9d8d65f07b67a6d339483a5c98b31cd7518a1a6dc3f1236ae7b526",
         ("frontier", "frontier_paper_scale.txt"):
             "88d7de2baf737bc69d773f941f93c3ab00ddf19b62811d4c9236f5f31147f413",
         ("loss", "loss_frontier_sweep.txt"):

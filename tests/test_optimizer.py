@@ -89,15 +89,14 @@ class TestExpectedLearned:
             "above threshold, deep": (400, 900, 6.0),
             "below threshold": (150, 2000, 6.0),
             "above threshold, near eps_star": (1000, 4000, 6.0),
-            "junk cut": (206, 48, 6.0),
+            "no transition, crossover": (206, 48, 6.0),
             "no transition": (1000, 800, 0.9),
         }
         for regime, (R, T, d_t) in cases.items():
             model = DegreeModel(R=R, T=T, d_t=d_t, epsilon=0.5)
             sol = find_threshold(model)
             assert regime.startswith(
-                "junk cut" if sol.on_junk_cut
-                else "no transition" if sol.no_transition
+                "no transition" if sol.no_transition
                 else "above" if sol.eps_star < 0.5 else "below"
             ), (regime, sol)
             frac = min(1.0, bit_erasure_rate(model, sol) / 0.5)

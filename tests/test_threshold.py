@@ -61,31 +61,44 @@ def dense_geometric_threshold(model, points=1 << 22, chunk=1 << 17):
     return min(1.0, best)
 
 
-def first_eps_with_fixed_point(model, eps_from, step, points=1 << 20):
-    """Dense eps scan of the solver's predicate, independent of its min search.
+def de_orbit_end(model, eps, x, stop_below=-1.0, max_iter=10**7):
+    """End of the DE orbit x <- eps*g(x) from x: where its steps fall below
+    1e-12 relative, or its first iterate at or below stop_below."""
+    for _ in range(max_iter):
+        x_next = eps * model.g(x)
+        if x_next <= stop_below or abs(x_next - x) <= 1e-15 + 1e-12 * x_next:
+            return x_next
+        x = x_next
+    raise AssertionError(f"DE orbit did not settle at eps={eps!r}")
 
-    The predicate is "f(x, eps) >= x for some x > cut(eps)", with the junk
-    cut max(1e-9, min(2*x_triv, 4*eps*lam(0) + 1e-9)) spelled out here.  x
-    runs over a dense geometric grid plus a ladder of points just above the
-    cut: where x/g(x) rises with slope near 1 past the cut, a grid step of
-    dx shifts the scan's answer by ~dx/(1 - slope), which the ladder
-    removes.  Returns the first scanned eps where the predicate holds; the
-    scan must start where it does not.
+
+def orbits_split(model, eps):
+    """Two-orbit oracle: do the DE orbits from x = 0 and x = 1 end apart?
+
+    The orbit from 0 ends on the smallest fixed point and the one from 1 on
+    the largest, so they end apart exactly where a non-trivial fixed point
+    exists: the first eps where they split is the BP threshold (Richardson
+    & Urbanke, Modern Coding Theory, 2008).  The oracle shares only g with
+    the solver, and no search over x.
     """
-    grid = np.geomspace(1e-9, 1.0, points)
-    lam0 = float(model.lam(0.0))
+    meet = de_orbit_end(model, eps, 0.0) * (1.0 + 1e-6) + 1e-15
+    return de_orbit_end(model, eps, 1.0, stop_below=meet) > meet
 
-    def holds(eps):
-        cut = max(1e-9, min(2.0 * _trivial_branch(model, eps), 4.0 * eps * lam0 + 1e-9))
-        x = np.concatenate((cut * (1.0 + np.geomspace(1e-12, 1e-3, 400)), grid[grid > cut]))
-        x = x[x <= 1.0]
-        return bool(np.any(eps * model.lam(1.0 - model.rho(1.0 - x)) >= x))
 
-    assert not holds(eps_from)
-    eps = eps_from
-    while not holds(eps):
-        eps += step
-    return eps
+def first_split(model, lo, hi, tol=2.5e-10):
+    """Bisection for the eps in (lo, hi] where the orbits start to split."""
+    assert not orbits_split(model, lo) and orbits_split(model, hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if orbits_split(model, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# the eps values a crossover's orbits are compared at
+SPLIT_SCAN = np.linspace(0.01, 1.0, 100)
 
 
 class TestQFunction:
@@ -172,14 +185,20 @@ class TestFindThreshold:
         assert bit_erasure_rate(m, sol) == pytest.approx(0.33785, abs=1e-5)
 
     def test_threshold_nondecreasing_in_texts(self):
-        """More texts never hurt: eps_star is monotone in T at fixed R, d_t."""
+        """More texts never hurt: a transition at T1 puts eps_star at T2 no
+        lower, at fixed R and d_t.  A crossover at T1, whose sentinel 1 more
+        texts may undercut with a real transition, shows no jump at all."""
         rng = np.random.default_rng(42)
         for _ in range(50):
             R = int(rng.integers(50, 2000))
             d_t = float(rng.uniform(1.5, 8.0))
             T1 = int(rng.integers(R, 4 * R))
             T2 = int(T1 * rng.uniform(1.1, 3.0))
-            s1 = find_threshold(DegreeModel(R=R, T=T1, d_t=d_t))
+            m1 = DegreeModel(R=R, T=T1, d_t=d_t)
+            s1 = find_threshold(m1)
+            if s1.no_transition:
+                assert not any(orbits_split(m1, eps) for eps in SPLIT_SCAN), m1
+                continue
             s2 = find_threshold(DegreeModel(R=R, T=T2, d_t=d_t))
             assert s2.eps_star >= s1.eps_star - 1e-6
 
@@ -197,7 +216,6 @@ class TestFindThreshold:
             oracle = dense_geometric_threshold(model)
             sol = find_threshold(model)
             assert abs(sol.eps_star - oracle) <= 1e-8, (model, sol.eps_star, oracle)
-            assert not sol.on_junk_cut
             checked += 1
 
     def test_isoflop_rows_match_dense_minimum(self):
@@ -218,179 +236,49 @@ class TestFindThreshold:
             err = abs(curve.eps_star[k] - oracle)
             assert err <= 1e-8, (models[k], curve.eps_star[k], oracle)
 
+    # (R, T, d_t); the ids of the d_t = 6 models are R-T
+    CROSSOVERS = [
+        (65195, 15977, 6.0), (206166, 50525, 6.0), (5242, 1907, 6.0), (605, 165, 6.0),
+        (206, 48, 6.0), (471, 212, 6.0), (3188, 840, 8.36),
+    ]
+
     @pytest.mark.parametrize(
-        "R, T",
-        [(65195, 15977), (206166, 50525), (5242, 1907), (605, 165), (206, 48)],
+        "R, T, d_t",
+        CROSSOVERS,
+        ids=[f"{R}-{T}" if d_t == 6.0 else f"{R}-{T}-{d_t}" for R, T, d_t in CROSSOVERS],
     )
-    def test_junk_dominated_models_match_predicate_scan(self, R, T, monkeypatch):
-        """Large lam(0) puts the minimum on the junk cut itself.
-
-        eps_star lies within one 1e-4 step of the first eps where a dense
-        scan finds a fixed point above the cut, and the solve takes few
-        evaluations of the cut (one per pass).
-        """
-        model = DegreeModel(R=R, T=T, d_t=6.0)
+    def test_junk_dominated_models_match_predicate_scan(self, R, T, d_t):
+        """Large lam(0) seeds a junk fixed point at every eps.  On these
+        models it grows with eps and never jumps: the solver reports no
+        transition, and the DE orbits from x = 0 and x = 1 end together at
+        each of 100 eps values."""
+        model = DegreeModel(R=R, T=T, d_t=d_t)
         assert model.lam(0.0) > 0.05
-        passes = []
-
-        def counted(*args, **kwargs):
-            passes.append(args[1])
-            return _trivial_branch(*args, **kwargs)
-
-        monkeypatch.setattr(threshold, "_trivial_branch", counted)
         sol = find_threshold(model)
-        assert 1 <= len(passes) <= 20
-        monkeypatch.undo()
-        step = 1e-4
-        first = first_eps_with_fixed_point(model, sol.eps_star - 50 * step, step)
-        assert sol.on_junk_cut
-        assert abs(sol.eps_star - first) <= step
+        assert sol.no_transition
+        assert not any(orbits_split(model, eps) for eps in SPLIT_SCAN)
 
-
-class TestJunkOrbitEarlyStop:
-    def test_solutions_match_full_orbit(self, monkeypatch):
-        """Stopping the orbit from 0 at half the junk cap changes no solution.
-
-        The reference runs the same solver with _trivial_branch ignoring
-        stop_above, so every cut comes from the converged orbit.
-        """
-        rng = np.random.default_rng(31)
-        models = [DegreeModel(R=206, T=48, d_t=6.0), DegreeModel(R=65195, T=15977, d_t=6.0)]
-        for _ in range(300):
-            R = int(np.exp(rng.uniform(np.log(20), np.log(2e6))))
-            d_t = float(rng.uniform(1.0, 9.0))
-            T = max(1, int(R * rng.uniform(0.5, 40.0) / d_t))
-            models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
-
-        def solve_all():
-            return [find_threshold(model) for model in models]
-
-        stopped = solve_all()
-        early = []
-
-        def full_orbit(model, eps, max_iter=2000, stop_above=math.inf):
-            x = _trivial_branch(model, eps, max_iter)
-            early.append(stop_above <= x)
-            return x
-
-        monkeypatch.setattr(threshold, "_trivial_branch", full_orbit)
-        reference = solve_all()
-        assert stopped == reference
-        on_cut = sum(s.on_junk_cut for s in stopped)
-        assert on_cut >= 10
-        assert any(early)
-
-    def test_stops_at_the_cap_scale(self):
-        model = DegreeModel(R=206, T=48, d_t=6.0)
-        eps = 0.51
-        half_cap = 2.0 * eps * float(model.lam(0.0))
-        limit = _trivial_branch(model, eps)
-        x = _trivial_branch(model, eps, stop_above=half_cap)
-        assert half_cap <= x < limit
-
-
-class _Unshared(float):
-    """A cut equal in value to another yet never the same dict key."""
-
-    __hash__ = object.__hash__
-
-
-def spy_cuts(monkeypatch, unshared=False):
-    """Record the cut of every m(eps) and the cut of every _min_above call;
-    with unshared set, every m(eps) gets a distinct key, defeating the memo."""
-    cuts, calls = [], []
-    junk_cut, min_above = threshold._junk_cut, threshold._min_above
-
-    def cut_spy(model, eps):
-        cut = junk_cut(model, eps)
-        cuts.append(cut)
-        return _Unshared(cut) if unshared else cut
-
-    def min_spy(model, cut, ratio):
-        calls.append(float(cut))
-        return min_above(model, cut, ratio)
-
-    monkeypatch.setattr(threshold, "_junk_cut", cut_spy)
-    monkeypatch.setattr(threshold, "_min_above", min_spy)
-    return cuts, calls
-
-
-class TestMinAboveMemo:
-    """find_threshold computes the minimum of x/g(x) once per distinct cut."""
-
-    JUNK = [(206, 48), (605, 165), (5242, 1907), (65195, 15977)]
-
-    def test_clean_model_minimizes_once(self, monkeypatch):
-        cuts, calls = spy_cuts(monkeypatch)
-        sol = find_threshold(DegreeModel(R=1000, T=4500, d_t=6.0))
-        assert not sol.on_junk_cut
-        assert len(cuts) >= 2 and set(cuts) == {threshold.X_GRID_LO}
-        assert calls == [threshold.X_GRID_LO]
-
-    @pytest.mark.parametrize("R, T", JUNK)
-    def test_junk_model_minimizes_once_per_cut(self, R, T, monkeypatch):
-        cuts, calls = spy_cuts(monkeypatch)
-        sol = find_threshold(DegreeModel(R=R, T=T, d_t=6.0))
-        assert sol.on_junk_cut
-        assert len(cuts) >= 2
-        assert calls == list(dict.fromkeys(cuts))
-
-    def test_memo_changes_no_solution(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        models = [DegreeModel(R=1000, T=4500, d_t=6.0)]
-        models += [DegreeModel(R=R, T=T, d_t=6.0) for R, T in self.JUNK]
-        for _ in range(40):
-            R = int(np.exp(rng.uniform(np.log(20), np.log(2e6))))
-            d_t = float(rng.uniform(1.0, 9.0))
-            T = max(1, int(R * rng.uniform(0.5, 40.0) / d_t))
-            models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.2, 0.9))))
-
-        def solve_all():
-            return [find_threshold(model) for model in models]
-
-        cuts, calls = spy_cuts(monkeypatch)
-        shared = solve_all()
-        assert len(calls) < len(cuts)
-        monkeypatch.undo()
-        cuts, calls = spy_cuts(monkeypatch, unshared=True)
-        assert solve_all() == shared
-        assert len(calls) == len(cuts)
+    @pytest.mark.parametrize(
+        "R, T, d_t",
+        [(1000, 4500, 6.0), (727, 1375, 1.5), (4081, 1765, 7.62), (297, 43, 18.8)],
+    )
+    def test_threshold_is_where_the_orbits_split(self, R, T, d_t):
+        """Bisection on the two-orbit oracle lands within 1e-9 of eps_star,
+        and the orbits end together at every scanned eps below it.
+        297/43/18.8 has a large lam(0) and a small jump: the orbit from 0
+        ends near 0.0225 and the one from 1 near 0.0279 just above eps_star."""
+        model = DegreeModel(R=R, T=T, d_t=d_t)
+        sol = find_threshold(model)
+        assert not sol.no_transition
+        eps_star = sol.eps_star
+        below = SPLIT_SCAN[SPLIT_SCAN < eps_star - 1e-6]
+        assert not any(orbits_split(model, eps) for eps in below)
+        first = first_split(model, eps_star - 1e-6, eps_star + 3e-7)
+        assert abs(first - eps_star) <= 1e-9, (first, eps_star)
 
 
 # the C = 1e21 optimum of configs/frontier_paper_scale.txt
 FRONTIER_R, FRONTIER_T = 14545, 71616
-GRID_MODELS = {
-    "exact_log": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0),
-    "poisson_limit": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0, eval_mode="poisson_limit"),
-    "pair_36": PAIR_36,
-}
-
-
-class TestOnGridCut:
-    """_min_above reuses the grid's x/g(x) when the cut is a grid point.
-
-    That rests on x/g(x) being elementwise: one grid point alone gives the
-    same bits as the same point inside the whole grid.
-    """
-
-    @pytest.mark.parametrize("name", GRID_MODELS)
-    def test_one_point_ratio_is_the_grid_ratio(self, name):
-        model = GRID_MODELS[name]
-        ratio = threshold._ratio(model, threshold.X_GRID)
-        for k in (0, 1, 1023, 2047):
-            one = threshold._ratio(model, threshold.X_GRID[k : k + 1])
-            assert one.tobytes() == ratio[k : k + 1].tobytes(), k
-
-    @pytest.mark.parametrize("name", GRID_MODELS)
-    def test_grid_cut_matches_the_prepended_cut(self, name, monkeypatch):
-        model = GRID_MODELS[name]
-        ratio = threshold._ratio(model, threshold.X_GRID)
-        assert threshold.X_GRID[0] == threshold.X_GRID_LO
-        got = threshold._min_above(model, threshold.X_GRID_LO, ratio)
-        # without its first point the grid does not hold the cut, so
-        # _min_above prepends the cut with its own 1-point ratio
-        monkeypatch.setattr(threshold, "X_GRID", threshold.X_GRID[1:])
-        assert got == threshold._min_above(model, threshold.X_GRID_LO, ratio[1:])
 
 
 class TestErrorState:
@@ -399,7 +287,7 @@ class TestErrorState:
 
     CASES = {
         "clean": DegreeModel(R=1000, T=4500, d_t=6.0),
-        "junk_cut": DegreeModel(R=206, T=48, d_t=6.0),
+        "crossover": DegreeModel(R=206, T=48, d_t=6.0),
         "no_transition": DegreeModel(R=1000, T=800, d_t=0.9),
         # lam(0) underflows to 0, so x/g(x) divides by zero at low x
         "data_rich": DegreeModel(R=100, T=20000, d_t=6.0),
@@ -476,17 +364,6 @@ class TestMatchingUpperBound:
         for word in ("isinstance", "eval_mode", "_exponent", "PolynomialPair"):
             assert word not in src
         assert not re.search(r"model\.p\b", src)
-
-    def test_bounds_every_solved_threshold(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            R = int(rng.integers(20, 3000))
-            d_t = float(rng.uniform(1.2, 9.0))
-            T = int(rng.integers(R // 2, 5 * R))
-            eps = float(rng.uniform(0.2, 0.9))
-            m = DegreeModel(R=R, T=max(T, 2), d_t=d_t, epsilon=eps)
-            sol = find_threshold(m)
-            assert sol.eps_star <= matching_upper_bound(m) + 1e-6
 
 
 def alpha_reference(pair, x_star, eps_star, dps=50):
@@ -593,7 +470,8 @@ class TestTangentTerms:
         "frontier_poisson": DegreeModel(
             R=FRONTIER_R, T=FRONTIER_T, d_t=6.0, eval_mode="poisson_limit"
         ),
-        "junk_cut": DegreeModel(R=206, T=48, d_t=6.0),
+        # a large lam(0) and a real tangency above it
+        "small_jump": DegreeModel(R=297, T=43, d_t=18.8),
         "data_rich": DegreeModel(R=100, T=20000, d_t=6.0),
     }
 
@@ -602,7 +480,7 @@ class TestTangentTerms:
         """Sharing one log term per point changes no bit of nu_star or alpha."""
         model = self.MODELS[name]
         sol = find_threshold(model)
-        assert sol.on_junk_cut == (name == "junk_cut")
+        assert not sol.no_transition
         want = gen_call_terms(model, sol.x_star)
         got = threshold._tangent_terms(model, sol.x_star)
         assert np.array(got).tobytes() == np.array(want).tobytes()
@@ -695,7 +573,7 @@ class TestDEFloor:
             for r in _geometric_ints(*_r_bounds(spec), 64).tolist():
                 m = DegreeModel(R=r, T=int(spec.C_prime // r), d_t=spec.d_t, epsilon=eps)
                 sol = find_threshold(m)
-                if sol.on_junk_cut or sol.no_transition or eps > sol.eps_star:
+                if sol.no_transition or eps > sol.eps_star:
                     continue
                 x_lo = _trivial_branch(m, eps)
                 assert x_lo == _trivial_branch(m, eps, max_iter=10**6), (spec, r)
@@ -709,10 +587,11 @@ class TestDEFloor:
 
 
 class TestJunkCutErasure:
-    """On the junk cut the erasure rate is density evolution's, not the law's.
+    """A junk-dominated crossover has density evolution's erasure rate.
 
-    R=206, T=48, d_t=6, eps=0.5: the waterfall law would give 0.246
-    against 0.498 from the independent parent-graph simulation.
+    R=206, T=48, d_t=6, eps=0.5 has no transition.  A waterfall law at
+    eps_star = 0.510, a minimum of x/g(x) inside the junk well, would give
+    0.246 against 0.498 from the independent parent-graph simulation.
     """
 
     MODEL = DegreeModel(R=206, T=48, d_t=6.0, epsilon=0.5)
@@ -723,7 +602,7 @@ class TestJunkCutErasure:
 
     def test_bit_erasure_rate_matches_monte_carlo(self, mc):
         sol = find_threshold(self.MODEL)
-        assert sol.on_junk_cut and not sol.no_transition
+        assert sol.no_transition
         assert abs(bit_erasure_rate(self.MODEL, sol) - mc.mean) <= 3.0 * mc.stderr
 
     def test_prob_concept_unlearned_matches_monte_carlo(self, mc):
