@@ -37,7 +37,7 @@ import warnings as _warnings
 import numpy as np
 
 from . import __version__
-from .degree import DegreeModel
+from .degree import DegreeModel, PoissonLimit
 from .threshold import bit_erasure_rate, find_threshold, matching_upper_bound
 from .peeling import (
     BudgetExceeded,
@@ -332,9 +332,9 @@ def _render_data(columns: list[str], rows: list[list], fmt: str) -> bytes:
 
 
 def _run_threshold(params: dict, extras: dict):
-    model = DegreeModel(
-        R=params["R"], T=params["T"], d_t=params["d_t"],
-        epsilon=params["epsilon"], eval_mode=params["eval_mode"],
+    ensemble = PoissonLimit if params["eval_mode"] == "poisson_limit" else DegreeModel
+    model = ensemble(
+        R=params["R"], T=params["T"], d_t=params["d_t"], epsilon=params["epsilon"],
     )
     sol = find_threshold(model)
     ub = matching_upper_bound(model)
@@ -389,13 +389,13 @@ def _run_peel_sim(params: dict, extras: dict):
 
 def _run_isoflop(params: dict, extras: dict):
     specs = _resolve_budget_specs(params)
-    columns = ["C", "R", "T", "objective", "eps_star"]
+    columns = ["C", "R", "T", "objective", "eps_star", "no_transition"]
     rows: list[list] = []
     maxima: dict[str, int] = {}
     for spec in specs:
         curve = isoflop_curve(spec, points_per_decade=params["points_per_decade"])
-        for r, t, obj, eps in zip(curve.R, curve.T, curve.objective, curve.eps_star):
-            rows.append([spec.C, int(r), int(t), float(obj), float(eps)])
+        cells = zip(curve.R, curve.T, curve.objective, curve.eps_star, curve.no_transition)
+        rows += [[spec.C, int(r), int(t), float(o), float(e), bool(n)] for r, t, o, e, n in cells]
         smoothed = smooth3(curve.objective)
         maxima["%.6g" % spec.C] = interior_maxima(
             smoothed, tol=1e-6 * float(np.max(smoothed))

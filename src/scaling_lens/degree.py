@@ -16,13 +16,13 @@ name         exponent n     meaning
 ===========  =============  ==========================================
 
 Everything is evaluated in log space as ``exp(n * log1p(p*(x-1)))`` so
-that huge exponents (``T`` up to 1e12 and beyond) stay finite.  The
-``poisson_limit`` mode replaces each function by ``exp(-d*(1-x))`` with
-the matching mean degree ``d = n*p``.
+that huge exponents (``T`` up to 1e12 and beyond) stay finite.  Its
+Poisson limit, PoissonLimit, replaces each function by ``exp(-d*(1-x))``
+with the matching mean degree ``d = n*p``.
 
 The threshold solver reads an ensemble only through this interface,
-which DegreeModel and PolynomialPair (a classical pair such as (3,6),
-given by coefficients) both answer: ``gen(which, x, order)`` for
+which DegreeModel, PoissonLimit and PolynomialPair (a classical pair such
+as (3,6), given by coefficients) all answer: ``gen(which, x, order)`` for
 ``which`` in L, lam, rho and ``order`` 0-2 at a float or an array, with
 the shorthands ``L``, ``lam`` and ``rho``; ``_gen_at(x, terms)``, several
 ``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at a
@@ -30,7 +30,7 @@ float or an array; ``integral(which)`` of lam or rho over [0, 1]; and
 ``l_prime_at_one()``, the mean concept degree L'(1).
 
 BinomialRows holds many (R, T) rows at once for the optimizer's row
-bounds.  It shares DegreeModel's exponents and exact_log array paths.
+bounds.  It shares DegreeModel's exponents and array paths.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from ._check import count_in, in_range
 __all__ = [
     "BinomialRows",
     "DegreeModel",
+    "PoissonLimit",
     "PolynomialPair",
     "binomial_gen",
     "log_gen",
@@ -75,8 +76,8 @@ class _Ensemble:
 
 
 class _Binomial(_Ensemble):
-    """The binomial ensemble's exponents and its exact_log array paths, for
-    R and T that are numbers (DegreeModel) or arrays of rows (BinomialRows)."""
+    """The binomial ensemble's exponents and its array paths, for R and T
+    that are numbers (DegreeModel) or arrays of rows (BinomialRows)."""
 
     @property
     def p(self):
@@ -116,52 +117,40 @@ class DegreeModel(_Binomial):
     epsilon : float
         Erasure fraction used to size the parent graph (``R/epsilon``
         concepts, of which an ``epsilon`` fraction is unknown).
-    eval_mode : str
-        ``"exact_log"`` (default) or ``"poisson_limit"``.
     """
 
     R: int
     T: int
     d_t: float
     epsilon: float = 0.5
-    eval_mode: str = "exact_log"
 
     def __post_init__(self):
         count_in("R", self.R, 1)
         count_in("T", self.T, 1)
         in_range("epsilon", self.epsilon, 0, 1, "(]")
         in_range("d_t", self.d_t, 0, self.R, "()")
-        if self.eval_mode not in ("exact_log", "poisson_limit"):
-            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
 
     def gen(self, which: str, x, order: int = 0):
         """Evaluate a generating function or one of its first two derivatives.
 
-        In exact_log mode a float x (np.float64 included) is evaluated
-        without an array and gives the bits that the same x gives inside one.
+        A float x (np.float64 included) is evaluated without an array and
+        gives the bits that the same x gives inside one.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
-        if isinstance(x, float) and self.eval_mode == "exact_log":
+        if isinstance(x, float):
             return self._gen_at(x, ((which, order),))[0]
-        x = np.asarray(x, dtype=np.float64)
-        if self.eval_mode == "poisson_limit":
-            d = self._exponent(which) * self.p
-            out = d**order * np.exp(-d * (1.0 - x))
-        else:
-            out = super().gen(which, x, order)
+        out = super().gen(which, np.asarray(x, dtype=np.float64), order)
         return float(out) if out.ndim == 0 else out
 
     def _gen_at(self, x: float, terms) -> list[float]:
         """gen(which, x, order) for each (which, order) of terms at one float x.
 
-        In exact_log mode the functions share the log term log1p(p*(x - 1)),
-        computed once, and use numpy ufuncs on floats, not math, so each
-        value has the bits of the array path; math differs from numpy in
-        the last bit on a few percent of exp and log1p inputs.
+        The functions share the log term log1p(p*(x - 1)), computed once,
+        and use numpy ufuncs on floats, not math, so each value has the
+        bits of the array path; math differs from numpy in the last bit on
+        a few percent of exp and log1p inputs.
         """
-        if self.eval_mode == "poisson_limit":
-            return super()._gen_at(x, terms)
         p = self.p
         base = np.log1p(p * (x - 1.0))
         return [_binomial_at(self._exponent(w), p, base, order) for w, order in terms]
@@ -169,13 +158,14 @@ class DegreeModel(_Binomial):
     def g(self, x):
         """g(x) = lam(1 - rho(1 - x)) at a float or an array.
 
-        A float x (np.float64 included) in exact_log mode, as in the DE
-        orbits, runs straight-line math code; math's bits can differ from
-        the array path's in the last place.  Otherwise g composes the gen calls.
+        A float x (np.float64 included), as in the DE orbits, runs
+        straight-line math code; math's bits can differ from the array
+        path's in the last place.  Otherwise g composes binomial_gen twice.
         """
-        if not isinstance(x, float) or self.eval_mode == "poisson_limit":
-            return super().g(x)
         p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, self.T - 1.0
+        if not isinstance(x, float):
+            out = binomial_gen(n_lam, p, 1.0 - binomial_gen(n_rho, p, 1.0 - x))
+            return float(out) if out.ndim == 0 else out
         x_rho = 1.0 - x  # p*(x_rho - 1) and p*(-x) can differ in the last bit
         e = n_rho * math.log1p(p * (x_rho - 1.0))
         y = 1.0 - (0.0 if e < _LOG_UNDERFLOW else math.exp(e))
@@ -184,13 +174,9 @@ class DegreeModel(_Binomial):
 
     def integral(self, which: str) -> float:
         """Integral of lam or rho over [0, 1]: (1 - (1 - p)**n)/(n*p) in log
-        space, n the node exponent T or R/eps; (1 - exp(-d))/d in
-        poisson_limit mode, d = (n - 1)*p."""
+        space, n the node exponent T or R/eps."""
         if which not in ("lam", "rho"):
             raise ValueError(f"integral is defined for 'lam' and 'rho', got {which!r}")
-        if self.eval_mode == "poisson_limit":
-            d = self._exponent(which) * self.p
-            return -math.expm1(-d) / d if d > 0.0 else 1.0
         n = float(self.T) if which == "lam" else self.R / self.epsilon
         return float(-np.expm1(n * np.log1p(-self.p)) / (n * self.p))
 
@@ -199,9 +185,31 @@ class DegreeModel(_Binomial):
         return self.T * self.p
 
 
+class PoissonLimit(DegreeModel):
+    """DegreeModel's Poisson limit: each function is exp(-d*(1 - x)), d = n*p."""
+
+    _gen_at, g = _Ensemble._gen_at, _Ensemble.g  # the compositions of gen
+
+    def gen(self, which: str, x, order: int = 0):
+        """Evaluate a generating function or one of its first two derivatives."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+        d = self._exponent(which) * self.p
+        out = d**order * np.exp(-d * (1.0 - np.asarray(x, dtype=np.float64)))
+        return float(out) if out.ndim == 0 else out
+
+    def integral(self, which: str) -> float:
+        """Integral of lam or rho over [0, 1]: (1 - exp(-d))/d, d = (n - 1)*p
+        with n the node exponent T or R/eps."""
+        if which not in ("lam", "rho"):
+            raise ValueError(f"integral is defined for 'lam' and 'rho', got {which!r}")
+        d = self._exponent(which) * self.p
+        return -math.expm1(-d) / d if d > 0.0 else 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class BinomialRows(_Binomial):
-    """The binomial ensemble at many (R, T) at once, in exact_log mode.
+    """The binomial ensemble at many (R, T) at once.
 
     R and T are float arrays of one shape, one entry per row, and are not
     checked.  With a column shape (rows, 1), gen and g evaluate every row

@@ -115,6 +115,7 @@ class IsoflopCurve:
     T: np.ndarray
     objective: np.ndarray
     eps_star: np.ndarray
+    no_transition: np.ndarray  # crossover rows, whose eps_star is the sentinel 1
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,12 @@ def isoflop_curve(
     grid = _geometric_ints(*_r_bounds(spec), points_per_decade)
     values = np.empty(grid.size)
     stars = np.empty(grid.size)
+    crossover = np.empty(grid.size, dtype=bool)
     texts = np.empty(grid.size, dtype=np.int64)
     for i, r in enumerate(grid):
         values[i], sol, texts[i] = _evaluate(int(r), spec)
-        stars[i] = sol.eps_star
-    return IsoflopCurve(spec=spec, R=grid, T=texts, objective=values, eps_star=stars)
+        stars[i], crossover[i] = sol.eps_star, sol.no_transition
+    return IsoflopCurve(spec, grid, texts, values, stars, crossover)
 
 
 def smooth3(values: np.ndarray) -> np.ndarray:

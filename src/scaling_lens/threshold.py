@@ -36,9 +36,10 @@ then lam at y and y**2, lam'(y**2) and L(y), with y = 1 - rho(xbar).  The
 functions at each of these four points come from one log term
 log1p(p*(x - 1)) per point, on floats, with the bits of the array path.
 
-Diagnostics are warnings of category SolverWarning: a DE orbit at its
-iteration cap and tied wells of x/g(x).  A solve with no transition warns
-nothing: no_transition says so.
+The solve takes x/g(x) to have a single well from x_M on, so its argmin
+is the threshold.  The one diagnostic is a SolverWarning: a DE orbit at
+its iteration cap.  A solve with no transition warns nothing:
+no_transition says so.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ _ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
 ZOOM_PASSES = 2
 # cap on the DE orbit from x = 1 in de_fixed_point
 DE_MAX_ITER = 30000
-# separate wells of x/g(x) whose minima lie this close count as tied
-TIE_WINDOW = 1e-9
 
 
 class NonPositiveRadicand(Exception):
@@ -83,7 +82,7 @@ class NonPositiveRadicand(Exception):
 
 
 class SolverWarning(UserWarning):
-    """A DE iteration cap or a tie of x/g(x) minima."""
+    """A DE orbit stopped at its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class ThresholdSolution:
     nu_star: float
     alpha: float
     no_transition: bool = False
-    tied_maximizer: bool = False
 
 
 def qfunc(z: float) -> float:
@@ -165,19 +163,13 @@ def _ratio(model, x):
 
 
 def _min_above(model, start: int, ratio):
-    """(min, x_at_min, tied) of x/g(x) over X_GRID[start:], given ratio on X_GRID.
+    """(min, x_at_min) of x/g(x) over X_GRID[start:], given ratio on X_GRID.
 
     A geometric zoom around the minimizer recovers x_star beyond grid
-    resolution.  Of separate wells within TIE_WINDOW of the minimum the
-    largest-x one wins: the decoder coming down from x = 1 stalls there.
+    resolution.
     """
     xs, rs = X_GRID[start:], ratio[start:]
     i = int(np.argmin(rs))
-    near = np.flatnonzero(rs <= rs[i] + TIE_WINDOW)
-    gaps = np.flatnonzero(near[1:] - near[:-1] > 1)
-    if gaps.size:
-        k = int(near[gaps[-1] + 1])
-        i = k + int(np.argmin(rs[k : near[-1] + 1]))
     x_min, r_min = xs[i], rs[i]
     for _ in range(ZOOM_PASSES):
         lo, hi = xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)]
@@ -188,7 +180,7 @@ def _min_above(model, start: int, ratio):
         i = int(np.argmin(rs))
         if rs[i] < r_min:
             x_min, r_min = xs[i], rs[i]
-    return float(r_min), float(x_min), bool(gaps.size)
+    return float(r_min), float(x_min)
 
 
 def find_threshold(model) -> ThresholdSolution:
@@ -210,14 +202,11 @@ def find_threshold(model) -> ThresholdSolution:
         turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
         eps_star = math.inf
         if turns.size:
-            eps_star, x_star, tied = _min_above(model, int(turns[0]), ratio)
+            eps_star, x_star = _min_above(model, int(turns[0]), ratio)
         if eps_star > 1.0:
             return ThresholdSolution(1.0, math.nan, math.nan, math.nan, no_transition=True)
-        if tied:
-            tie = f"tied minimizers of x/g(x) at eps={eps_star:.9g}; keeping largest x"
-            warnings.warn(tie, SolverWarning, stacklevel=2)
         nu_star, alpha = _solution_constants(model, eps_star, x_star)
-        return ThresholdSolution(eps_star, x_star, nu_star, alpha, tied_maximizer=tied)
+        return ThresholdSolution(eps_star, x_star, nu_star, alpha)
 
 
 def _solution_constants(model, eps_star: float, x_star: float):

@@ -11,9 +11,14 @@ import numpy as np
 import pytest
 
 from scaling_lens import cli, threshold
-from scaling_lens.degree import DegreeModel
+from scaling_lens.degree import DegreeModel, PoissonLimit
 from scaling_lens.peeling import mc_parent_graph_erasure
-from scaling_lens.threshold import SolverWarning, bit_erasure_rate, find_threshold
+from scaling_lens.threshold import (
+    SolverWarning,
+    bit_erasure_rate,
+    find_threshold,
+    matching_upper_bound,
+)
 
 
 def write_config(tmp_path, text, name="run.txt"):
@@ -51,6 +56,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "invalid value 'abc'" in err
         assert ":3:" in err
+
+    def test_invalid_enum_value_with_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "R = 10\nT = 20\nd_t = 2\neval_mode = taylor\n")
+        assert run_cli(["threshold", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        expected = "(expected enum:exact_log|poisson_limit)"
+        assert "invalid value 'taylor' for key 'eval_mode' " + expected in err
+        assert ":4:" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.txt"]
 
     def test_missing_required_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "R = 10\nd_t = 2\n")
@@ -214,6 +229,19 @@ class TestThresholdCommand:
         np.testing.assert_allclose(float(cells[4]), 0.498872999794601, rtol=1e-9)
         assert cells[8] == "0"
 
+    def test_poisson_limit_mode_solves_the_poisson_ensemble(self, tmp_path, monkeypatch):
+        """eval_mode = poisson_limit runs the solve on a PoissonLimit."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, THRESHOLD_OK + "eval_mode = poisson_limit\nout = p.csv\n")
+        assert run_cli(["threshold", "--config", cfg]) == 0
+        cells = (tmp_path / "p.csv").read_bytes().split(b"\r\n")[1].decode().split(",")
+        model = PoissonLimit(R=1000, T=4500, d_t=6.0, epsilon=0.5)
+        sol = find_threshold(model)
+        want = [sol.eps_star, sol.x_star, sol.nu_star, sol.alpha]
+        assert [float(c) for c in cells[4:8]] == want
+        assert float(cells[9]) == matching_upper_bound(model)
+        assert float(cells[10]) == bit_erasure_rate(model, sol)
+
     def test_junk_cut_rate_matches_monte_carlo(self, tmp_path, monkeypatch):
         """A junk-dominated crossover reports the simulated stall, not a law's half of it."""
         monkeypatch.chdir(tmp_path)
@@ -252,21 +280,12 @@ class TestThresholdCommand:
     SOLVER_EVENTS = {
         # eps = 0.5 is above threshold, so the rate runs the DE orbit from x = 1
         "cap": ((1000, 4500), ("DE_MAX_ITER", 3), "DE iteration cap 3 hit at eps=0.5, x="),
-        "tie": ((1000, 4500), None, "tied minimizers of x/g(x) at eps=0.498873; keeping largest x"),
     }
 
     @pytest.mark.parametrize("event", SOLVER_EVENTS)
     def test_solver_event_is_one_sidecar_warning(self, event, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (R, T), patch, start = self.SOLVER_EVENTS[event]
-        if patch is None:
-            min_above = threshold._min_above
-
-            def tied(*args):
-                r, x, _ = min_above(*args)
-                return r, x, True
-
-            patch = ("_min_above", tied)
         monkeypatch.setattr(threshold, *patch)
         model = DegreeModel(R=R, T=T, d_t=6.0)
         # what the threshold command runs, outside the CLI
@@ -403,12 +422,17 @@ class TestBudgetCommands:
         )
         assert run_cli(["isoflop", "--config", cfg]) == 0
         rows = (tmp_path / "iso.csv").read_bytes().decode().strip().split("\r\n")
-        assert rows[0] == "C,R,T,objective,eps_star"
+        assert rows[0] == "C,R,T,objective,eps_star,no_transition"
         assert len(rows) > 20
+        crossovers = 0
         for line in rows[1:]:
-            c, r, t, obj, eps = line.split(",")
+            c, r, t, obj, eps, none = line.split(",")
             assert int(r) * int(t) <= 10000
             assert math.isfinite(float(obj)) and math.isfinite(float(eps))
+            # a crossover row carries the sentinel eps_star = 1
+            assert none in ("0", "1") and (none == "0" or eps == "1")
+            crossovers += none == "1"
+        assert 0 < crossovers < len(rows) - 1
         meta = json.loads((tmp_path / "iso.csv.meta.json").read_text())
         assert meta["interior_maxima_after_smoothing"] == {"60000": 1}
 
@@ -585,7 +609,7 @@ class TestShippedOutputDigests:
         ("threshold", "threshold_rate_half.txt"):
             "322f4cb45a409b23fe6c0cbb7878851089ceef07a7bbae1b7ae5e43efdaa61a2",
         ("isoflop", "isoflop_desk.txt"):
-            "66ece6f8dd9d8d65f07b67a6d339483a5c98b31cd7518a1a6dc3f1236ae7b526",
+            "988831f66d57a320f6a04f3093f0f5839618314f58dbfac324833ae2f6a3c010",
         ("frontier", "frontier_paper_scale.txt"):
             "88d7de2baf737bc69d773f941f93c3ab00ddf19b62811d4c9236f5f31147f413",
         ("loss", "loss_frontier_sweep.txt"):

@@ -1,5 +1,6 @@
 """Tests for the binomial degree-distribution model and its generating functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import integrate
 from scaling_lens.degree import (
     BinomialRows,
     DegreeModel,
+    PoissonLimit,
     PolynomialPair,
     binomial_gen,
     log_gen,
@@ -31,10 +33,6 @@ class TestModelValidation:
             DegreeModel(R=10, T=10, d_t=0.0)
         with pytest.raises(ValueError):
             DegreeModel(R=10, T=10, d_t=-1.0)
-
-    def test_rejects_unknown_eval_mode(self):
-        with pytest.raises(ValueError):
-            DegreeModel(R=10, T=10, d_t=2.0, eval_mode="taylor")
 
     @pytest.mark.parametrize(
         "R, T", [(1000, math.nan), (1000, math.inf), (math.nan, 4500), (math.inf, 4500)]
@@ -58,7 +56,7 @@ class TestGeneratingFunctions:
         models = [
             DegreeModel(R=100, T=200, d_t=6.0),
             DegreeModel(R=10, T=3, d_t=1.5, epsilon=0.25),
-            DegreeModel(R=10**6, T=10**7, d_t=4.0, eval_mode="poisson_limit"),
+            PoissonLimit(R=10**6, T=10**7, d_t=4.0),
         ]
         for m in models:
             for which in ("L", "lam", "P", "rho"):
@@ -75,7 +73,7 @@ class TestGeneratingFunctions:
         got = m.gen("lam", 0.0)
         np.testing.assert_allclose(got, math.exp(-6.0), rtol=1e-6)
         # exact-log and poisson-limit agree closely at this scale
-        mp = DegreeModel(R=10**9, T=10**9, d_t=6.0, eval_mode="poisson_limit")
+        mp = PoissonLimit(R=10**9, T=10**9, d_t=6.0)
         np.testing.assert_allclose(got, mp.gen("lam", 0.0), rtol=3e-8)
 
     def test_deep_underflow_floors_to_zero(self):
@@ -164,10 +162,11 @@ class TestGeneratingFunctions:
     def test_float_input_matches_the_array_path(self, mode):
         """A float x (np.float64 included) returns a float with the bits of
         the same x inside an array, across the underflow band and for NaN."""
+        ensemble = PoissonLimit if mode == "poisson_limit" else DegreeModel
         models = [
-            DegreeModel(R=100, T=200, d_t=6.0, eval_mode=mode),
-            DegreeModel(R=10**6, T=10**6, d_t=1000.0, eval_mode=mode),
-            DegreeModel(R=14545, T=71616, d_t=6.0, eval_mode=mode),
+            ensemble(R=100, T=200, d_t=6.0),
+            ensemble(R=10**6, T=10**6, d_t=1000.0),
+            ensemble(R=14545, T=71616, d_t=6.0),
         ]
         rng = np.random.default_rng(7)
         for m in models:
@@ -184,6 +183,27 @@ class TestGeneratingFunctions:
                             assert type(got) is float
                             assert np.float64(got).tobytes() == want[k].tobytes(), (which, order, x)
                     assert m.gen(which, np.array(xs[3]), order) == want[3]
+
+    @pytest.mark.parametrize("ensemble", [DegreeModel, PoissonLimit])
+    def test_array_g_is_the_gen_composition(self, ensemble):
+        """g on an array has the bits of lam(1 - rho(1 - x)), across the
+        underflow band of rho and for NaN."""
+        rng = np.random.default_rng(3)
+        for R, T, d_t in [(100, 200, 6.0), (10**6, 10**6, 1000.0), (14545, 71616, 6.0)]:
+            m = ensemble(R=R, T=T, d_t=d_t)
+            n = m._exponent("rho")
+            band = -np.expm1(np.linspace(-800.0, -700.0, 41) / n) / m.p
+            xs = np.concatenate((band, rng.uniform(0.0, 1.0, 40), [0.0, 1.0, math.nan]))
+            assert m.g(xs).tobytes() == m.lam(1.0 - m.rho(1.0 - xs)).tobytes()
+
+    def test_poisson_limit_is_a_degree_model(self):
+        """PoissonLimit keeps DegreeModel's four fields and checks."""
+        names = [f.name for f in dataclasses.fields(DegreeModel)]
+        assert names == [f.name for f in dataclasses.fields(PoissonLimit)]
+        assert names == ["R", "T", "d_t", "epsilon"]
+        assert PoissonLimit(R=10, T=10, d_t=2.0) != DegreeModel(R=10, T=10, d_t=2.0)
+        with pytest.raises(ValueError):
+            PoissonLimit(R=10, T=10, d_t=10.0)
 
     def test_vector_input_round_trip(self):
         m = DegreeModel(R=50, T=80, d_t=3.0)
@@ -233,7 +253,7 @@ class TestEdgeNodeConsistency:
         ]
         for R, T, d_t in cases:
             me = DegreeModel(R=R, T=T, d_t=d_t)
-            mp = DegreeModel(R=R, T=T, d_t=d_t, eval_mode="poisson_limit")
+            mp = PoissonLimit(R=R, T=T, d_t=d_t)
             for which in ("L", "lam", "P", "rho"):
                 np.testing.assert_allclose(
                     me.gen(which, xs), mp.gen(which, xs), atol=1e-6, rtol=0
@@ -340,7 +360,7 @@ class TestPolynomialPair:
 
 ENSEMBLES = {
     "exact_log": DegreeModel(R=100, T=200, d_t=6.0, epsilon=0.4),
-    "poisson_limit": DegreeModel(R=100, T=200, d_t=6.0, epsilon=0.4, eval_mode="poisson_limit"),
+    "poisson_limit": PoissonLimit(R=100, T=200, d_t=6.0, epsilon=0.4),
     "pair_3_6": PolynomialPair(lam_coeffs=(0.0, 0.0, 1.0), rho_coeffs=(0.0,) * 5 + (1.0,)),
     "pair_two_term": PolynomialPair(lam_coeffs=(0.0, 0.3, 0.7), rho_coeffs=(0.0,) * 3 + (0.6, 0.4)),
 }

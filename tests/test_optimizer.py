@@ -167,6 +167,16 @@ class TestIsoflopCurve:
         d = spec.tau * desk_curve.T
         assert np.all(6.0 * n * d <= spec.C)
 
+    def test_crossovers_are_flagged(self, desk_curve):
+        """no_transition marks the rows whose eps_star is the sentinel 1:
+        the starved tail, where T/R is below about 0.45."""
+        flagged = desk_curve.no_transition
+        assert flagged.dtype == bool and flagged.shape == desk_curve.R.shape
+        assert np.all(desk_curve.eps_star[flagged] == 1.0)
+        assert np.all(desk_curve.eps_star[~flagged] < 1.0)
+        assert not flagged[0] and flagged[-1]
+        assert np.all(desk_curve.T[flagged] / desk_curve.R[flagged] < 0.46)
+
     def test_objective_bounds(self, desk_curve):
         assert np.all(desk_curve.objective >= 0.0)
         assert np.all(desk_curve.objective <= desk_curve.R)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
+from scipy.special import lambertw
 
-from scaling_lens.degree import DegreeModel, PolynomialPair
+from scaling_lens.degree import DegreeModel, PoissonLimit, PolynomialPair
 from scaling_lens.optimizer import BudgetSpec, _geometric_ints, _r_bounds, isoflop_curve
 from scaling_lens.peeling import mc_parent_graph_erasure
 from scaling_lens import threshold
@@ -277,6 +278,102 @@ class TestFindThreshold:
         assert abs(first - eps_star) <= 1e-9, (first, eps_star)
 
 
+def random_models(seed, count, ensemble=DegreeModel):
+    """count seeded models: R log-uniform over [10, 1e7], d_t up to 20,
+    T*d_t/R log-uniform over [0.05, 60] and eps uniform over [0.05, 1]."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(count):
+        R = int(np.exp(rng.uniform(np.log(10), np.log(1e7))))
+        d_t = float(rng.uniform(0.5, min(20.0, R - 1)))
+        T = max(1, int(R * np.exp(rng.uniform(np.log(0.05), np.log(60))) / d_t))
+        models.append(ensemble(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.05, 1.0))))
+    return models
+
+
+def poisson_threshold(model):
+    """(eps_star, x_star) of a PoissonLimit in closed form, or None.
+
+    With a = (T - 1)p and b = (R/eps - 1)p, g(x) = exp(-a*exp(-b*x)), and
+    d/dx log(x/g(x)) = 0 reads v*exp(-v) = 1/a at v = b*x.  Real roots need
+    a > e; the larger one, v_m = -W_{-1}(-1/a), is the tangency, with
+    x_star = v_m/b and eps_star = x_star*exp(1/v_m).
+    """
+    a = (model.T - 1.0) * model.p
+    b = (model.R / model.epsilon - 1.0) * model.p
+    if a <= math.e:
+        return None
+    v_m = -float(lambertw(-1.0 / a, k=-1).real)
+    x_star = v_m / b
+    return x_star * math.exp(1.0 / v_m), x_star
+
+
+class TestPoissonClosedForm:
+    """The grid solve of a PoissonLimit against its closed-form threshold:
+    the same transition or crossover, eps_star no lower than the closed
+    form and at most 2e-9 relative above it (the grid minimum lies above
+    the true one), and x_star within 3e-5 relative (the zoom grid's step)."""
+
+    # (R, T, d_t, eps)
+    MODELS = [
+        (14545, 71616, 6.0, 0.5), (1000, 4500, 6.0, 0.5), (100, 200, 4.0, 0.5),
+        (119, 840, 6.0, 0.5), (2 * 10**6, 4 * 10**6, 6.0, 0.5), (500, 700, 3.0, 0.5),
+        (3250, 19843, 7.62, 0.5), (1000, 4500, 6.0, 0.3), (10, 12, 6.0, 0.5),
+        (1000, 800, 6.0, 0.9),
+    ]
+
+    @staticmethod
+    def check(model):
+        sol, closed = find_threshold(model), poisson_threshold(model)
+        if closed is None or closed[0] > 1.0:
+            assert sol.no_transition, model
+            return False
+        eps_star, x_star = closed
+        assert not sol.no_transition, model
+        assert eps_star <= sol.eps_star <= eps_star * (1.0 + 2e-9), (model, eps_star)
+        assert sol.x_star == pytest.approx(x_star, rel=3e-5, abs=0.0), model
+        return True
+
+    @pytest.mark.parametrize("R, T, d_t, eps", MODELS)
+    def test_model_matches_closed_form(self, R, T, d_t, eps):
+        assert self.check(PoissonLimit(R=R, T=T, d_t=d_t, epsilon=eps))
+
+    def test_random_models_match_closed_form(self):
+        found = [self.check(m) for m in random_models(27, 1000, PoissonLimit)]
+        assert 200 < sum(found) < 800
+
+
+def grid_turning_points(model):
+    """Turning points of the finite part of x/g(x) on X_GRID."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = threshold._ratio(model, threshold.X_GRID)
+    steps = np.sign(np.diff(ratio[np.isfinite(ratio)]))
+    steps = steps[steps != 0.0]
+    return int(np.count_nonzero(steps[1:] != steps[:-1]))
+
+
+class TestOneWell:
+    """x/g(x) has at most one interior minimum: on X_GRID its finite part
+    turns at most twice, at the top of the junk well's rise and at the
+    threshold.  So the argmin from the first turning point on is the
+    threshold, with no second well to tie with."""
+
+    def test_at_most_two_turning_points(self):
+        specs = [BudgetSpec(C=c, d_t=6.0) for c in (6e5, 6e6, 6e7)]  # isoflop_desk.txt
+        specs += [  # frontier_paper_scale.txt
+            BudgetSpec(C=c, varsigma=2e5, tau=8e5) for c in np.geomspace(1e21, 1e25, 9).tolist()
+        ]
+        models = [
+            DegreeModel(R=r, T=int(spec.C_prime // r), d_t=spec.d_t)
+            for spec in specs
+            for r in _geometric_ints(*_r_bounds(spec), 64).tolist()
+        ]
+        models += random_models(5, 600)
+        counts = np.bincount([grid_turning_points(m) for m in models], minlength=3)
+        assert counts.size == 3 and counts.min() > 0, counts
+        assert grid_turning_points(PAIR_36) == 1
+
+
 # the C = 1e21 optimum of configs/frontier_paper_scale.txt
 FRONTIER_R, FRONTIER_T = 14545, 71616
 
@@ -337,8 +434,8 @@ class TestMatchingUpperBound:
         (binomial 0.600010)."""
         for m in (
             DegreeModel(R=100, T=200, d_t=4.0, epsilon=0.5),
-            DegreeModel(R=100, T=200, d_t=4.0, epsilon=0.5, eval_mode="poisson_limit"),
-            DegreeModel(R=10, T=12, d_t=6.0, epsilon=0.5, eval_mode="poisson_limit"),
+            PoissonLimit(R=100, T=200, d_t=4.0, epsilon=0.5),
+            PoissonLimit(R=10, T=12, d_t=6.0, epsilon=0.5),
         ):
             num, _ = integrate.quad(lambda x: m.gen("rho", x), 0.0, 1.0, epsabs=1e-13)
             den, _ = integrate.quad(lambda x: m.gen("lam", x), 0.0, 1.0, epsabs=1e-13)
@@ -353,7 +450,7 @@ class TestMatchingUpperBound:
         modes, and the (3,6) pair keep these exact values."""
         m = DegreeModel(R=1000, T=4500, d_t=6.0, epsilon=0.5)
         assert matching_upper_bound(m) == float.fromhex("0x1.1fff9026105c3p+1")
-        mp = DegreeModel(R=1000, T=4500, d_t=6.0, epsilon=0.5, eval_mode="poisson_limit")
+        mp = PoissonLimit(R=1000, T=4500, d_t=6.0, epsilon=0.5)
         assert matching_upper_bound(mp) == float.fromhex("0x1.201408cde91c9p+1")
         assert matching_upper_bound(PAIR_36) == 0.5
 
@@ -430,7 +527,7 @@ class TestScalingAlpha:
         """exact_log and poisson_limit alphas agree once R, T are >= 1e6."""
         me = DegreeModel(R=2 * 10**6, T=4 * 10**6, d_t=6.0, epsilon=0.5)
         sol = find_threshold(me)
-        mp_ = DegreeModel(R=2 * 10**6, T=4 * 10**6, d_t=6.0, epsilon=0.5, eval_mode="poisson_limit")
+        mp_ = PoissonLimit(R=2 * 10**6, T=4 * 10**6, d_t=6.0, epsilon=0.5)
         a_exact = scaling_alpha(me, sol.x_star, sol.eps_star)
         a_poisson = scaling_alpha(mp_, sol.x_star, sol.eps_star)
         np.testing.assert_allclose(a_exact, a_poisson, rtol=1e-4)
@@ -467,9 +564,7 @@ def gen_call_terms(model, x_star):
 class TestTangentTerms:
     MODELS = {
         "frontier_optimum": DegreeModel(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0),
-        "frontier_poisson": DegreeModel(
-            R=FRONTIER_R, T=FRONTIER_T, d_t=6.0, eval_mode="poisson_limit"
-        ),
+        "frontier_poisson": PoissonLimit(R=FRONTIER_R, T=FRONTIER_T, d_t=6.0),
         # a large lam(0) and a real tangency above it
         "small_jump": DegreeModel(R=297, T=43, d_t=18.8),
         "data_rich": DegreeModel(R=100, T=20000, d_t=6.0),

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scaling_lens import degree, emergence, loss, optimizer, peeling, threshold
-from scaling_lens.degree import DegreeModel, PolynomialPair
+from scaling_lens.degree import DegreeModel, PoissonLimit, PolynomialPair
 from scaling_lens.emergence import (
     DegenerateBound,
     EmergenceCurve,
@@ -214,6 +214,7 @@ SEED = count(5, 0, 2**64 - 1, 2**64, hi=2**64)
 CASES = {
     # degree
     "DegreeModel": (_model, MODEL_ARGS, lambda m: 0.0 < m.p < 1.0),
+    "PoissonLimit": (PoissonLimit, MODEL_ARGS, lambda m: 0.0 < m.p < 1.0),
     "PolynomialPair": (
         lambda c: PolynomialPair(lam_coeffs=(0.0, c, 1.0 - c), rho_coeffs=(0.0, 1.0)),
         {"c": UNIT},
