@@ -2,7 +2,7 @@
 
 Texts connect to concepts independently with probability ``p = d_t / R``,
 so node degrees are binomial on both sides.  All analysis routines consume
-the four standard generating functions of that ensemble, each of the form
+the three generating functions of that ensemble, each of the form
 ``(p*x + 1 - p)**n`` for a side-specific exponent ``n``:
 
 ===========  =============  ==========================================
@@ -10,7 +10,6 @@ name         exponent n     meaning
 ===========  =============  ==========================================
 ``L``        ``T``          concept degrees, node perspective
 ``lam``      ``T - 1``      concept degrees, edge perspective
-``P``        ``R``          text degrees, node perspective
 ``rho``      ``R/eps - 1``  text degrees in the eps-parent graph,
                             edge perspective (real exponent)
 ===========  =============  ==========================================
@@ -89,12 +88,10 @@ class _Binomial(_Ensemble):
             return 1.0 * self.T
         if which == "lam":
             return self.T - 1.0
-        if which == "P":
-            return 1.0 * self.R
         if which == "rho":
             return self.R / self.epsilon - 1.0
         raise ValueError(
-            f"unknown generating function {which!r}; expected one of ['L', 'P', 'lam', 'rho']"
+            f"unknown generating function {which!r}; expected one of ['L', 'lam', 'rho']"
         )
 
     def gen(self, which: str, x, order: int = 0):

@@ -27,19 +27,16 @@ fixed point above x_M is a genuine one.  So the threshold is the minimum
 of x/g(x) over x >= x_M, a search that does not depend on eps.
 find_threshold takes x/g(x) on X_GRID once, x_M as the first grid point
 where it stops rising (the left end where it starts out falling, as on
-data-rich models, where g underflows), and the minimum from there on.
-Without a turning point, or with that minimum above 1, the fixed point
-moves continuously with eps: a crossover, with no transition.
+data-rich models, where g underflows), and the grid argmin from there on.
+Newton on the tangency x*g'(x) = g(x), where d/dx log(x/g(x)) = 0, takes
+that argmin to x_star, and x/g(x) there is eps_star.  Without a turning
+point, or with that minimum above 1, the fixed point moves continuously
+with eps: a crossover, with no transition.
 
-nu_star and alpha take rho and rho' at xbar and xbar**2 (xbar = 1 - x_star),
-then lam at y and y**2, lam'(y**2) and L(y), with y = 1 - rho(xbar).  The
-functions at each of these four points come from one log term
-log1p(p*(x - 1)) per point, on floats, with the bits of the array path.
-
-The solve takes x/g(x) to have a single well from x_M on, so its argmin
-is the threshold.  The one diagnostic is a SolverWarning: a DE orbit at
-its iteration cap.  A solve with no transition warns nothing:
-no_transition says so.
+The solve takes x/g(x) to have a single well from x_M on, so the tangency
+next to its grid argmin is the threshold.  The one diagnostic is a
+SolverWarning: a DE orbit at its iteration cap.  A solve with no
+transition warns nothing: no_transition says so.
 """
 
 from __future__ import annotations
@@ -68,11 +65,11 @@ __all__ = [
     "prob_concept_unlearned",
 ]
 
-# the x grid every threshold solve minimizes x/g(x) over
+# the x grid on which every threshold solve finds x_M and its Newton start
 X_GRID = np.geomspace(1e-9, 1.0, 2048)
 X_GRID.setflags(write=False)
-_ZOOM = np.linspace(0.0, 1.0, 65)  # exponents: 65 points over 4 grid steps
-ZOOM_PASSES = 2
+# cap on the Newton steps that take x_star from the grid argmin to the tangency
+NEWTON_STEPS = 8
 # cap on the DE orbit from x = 1 in de_fixed_point
 DE_MAX_ITER = 30000
 
@@ -154,42 +151,51 @@ def de_bit_erasure(model, eps: float) -> float:
     return eps * model.L(1.0 - model.rho(1.0 - x_inf))
 
 
-def _ratio(model, x):
-    """x / g(x) with g(x) = lam(1 - rho(1 - x)), +inf where g vanishes.
+def _tangency_step(model, x: float):
+    """x/g(x) and the Newton step on x*g'(x) = g(x), at a float x.
 
-    Callers silence the divide and overflow warnings that vanishing g raises.
+    With y = 1 - rho(1 - x), g = lam(y), g' = lam'(y)*rho'(1 - x) and
+    g'' = lam''(y)*rho'(1 - x)**2 - lam'(y)*rho''(1 - x).  The ratio is
+    +inf where g is 0, and the step is nan where g'' is 0.
     """
-    return x / model.g(x)
+    rho, drho, d2rho = model._gen_at(1.0 - x, (("rho", 0), ("rho", 1), ("rho", 2)))
+    g, dlam, d2lam = model._gen_at(1.0 - rho, (("lam", 0), ("lam", 1), ("lam", 2)))
+    d2g = d2lam * drho * drho - dlam * d2rho
+    step = (dlam * drho - g / x) / d2g if d2g else math.nan
+    return (x / g if g else math.inf), step
 
 
 def _min_above(model, start: int, ratio):
-    """(min, x_at_min) of x/g(x) over X_GRID[start:], given ratio on X_GRID.
+    """(min, x_at_min) of x/g(x) from X_GRID[start] on, given ratio on X_GRID.
 
-    A geometric zoom around the minimizer recovers x_star beyond grid
-    resolution.
+    Newton on x*g'(x) = g(x) from the grid argmin.  A step that leaves (0, 1]
+    or raises x/g(x) beyond roundoff ends it at the lowest x/g(x) met.  A
+    step of at most 1e-8*x ends it at x_star = x - step: by quadratic
+    convergence the next step is below roundoff, and x/g(x) is stationary.
     """
-    xs, rs = X_GRID[start:], ratio[start:]
-    i = int(np.argmin(rs))
-    x_min, r_min = xs[i], rs[i]
-    for _ in range(ZOOM_PASSES):
-        lo, hi = xs[max(i - 2, 0)], xs[min(i + 2, xs.size - 1)]
-        if hi <= lo:
+    i = start + int(np.argmin(ratio[start:]))
+    x, r = float(X_GRID[i]), float(ratio[i])
+    step = _tangency_step(model, x)[1]
+    for _ in range(NEWTON_STEPS):
+        if not 0.0 < x - step <= 1.0:
             break
-        xs = lo * (hi / lo) ** _ZOOM
-        rs = _ratio(model, xs)
-        i = int(np.argmin(rs))
-        if rs[i] < r_min:
-            x_min, r_min = xs[i], rs[i]
-    return float(r_min), float(x_min)
+        if abs(step) <= 1e-8 * x:
+            return r, x - step
+        r_next, next_step = _tangency_step(model, x - step)
+        if r_next > r * (1.0 + 1e-14):
+            break
+        x, r, step = x - step, min(r, r_next), next_step
+    return r, x
 
 
 def find_threshold(model) -> ThresholdSolution:
     """Decoding threshold: the minimum of x/g(x) above its first turning point.
 
     x/g(x) is taken once on the log-spaced X_GRID.  x_M is the first grid
-    point where it stops rising, and eps_star is its minimum over X_GRID
-    from x_M on (see the module docstring).  Works for any ensemble that
-    answers the interface listed in the degree module's docstring.
+    point where it stops rising, and eps_star is its minimum from x_M on,
+    by Newton from the grid argmin (see the module docstring).  Works for
+    any ensemble that answers the interface listed in the degree module's
+    docstring.
 
     With no turning point, or a minimum above 1, no fixed point appears
     as eps grows to 1: the solution is the sentinel eps_star = 1 with
@@ -198,7 +204,7 @@ def find_threshold(model) -> ThresholdSolution:
     data-rich models, where x/g(x) is +inf.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = _ratio(model, X_GRID)
+        ratio = X_GRID / model.g(X_GRID)
         turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
         eps_star = math.inf
         if turns.size:

@@ -607,21 +607,21 @@ class TestShippedOutputDigests:
 
     DIGESTS = {
         ("threshold", "threshold_rate_half.txt"):
-            "322f4cb45a409b23fe6c0cbb7878851089ceef07a7bbae1b7ae5e43efdaa61a2",
+            "21984a70e1081fdd417e102d88f5be64ed6a9807ab5164f791b48459ecee0a34",
         ("isoflop", "isoflop_desk.txt"):
-            "988831f66d57a320f6a04f3093f0f5839618314f58dbfac324833ae2f6a3c010",
+            "becd1e613cc0677f538bb29d581d575b068ebc7bca3cb2f6db76cd80ff95e081",
         ("frontier", "frontier_paper_scale.txt"):
-            "88d7de2baf737bc69d773f941f93c3ab00ddf19b62811d4c9236f5f31147f413",
+            "b1d77124e69d1636046edc2318d6490e9a06cfdf2b3f2c8013f768d840b893a9",
         ("loss", "loss_frontier_sweep.txt"):
-            "3cb5d0c292f537eb642d8cd79ccd19da6077aa1fb71c10d5d31f9561dc0b8013",
+            "1038e4f16915f0bf1ed5a1c4d3fc1f1dcde98303ecef08552f662c295ab934b3",
         ("emergence", "emergence_single_level_step.txt"):
-            "ea189b858f8ad9e073c0bfc5e5de33171a4b33044b06a148f390f8ce1056c274",
+            "d68c0028026ea5fdbeca2b41ccc03915d9dd003cf4cf63f294afa5e3a4459d91",
         ("emergence", "emergence_unimodal_scurve.txt"):
-            "9125655e7c308a827ee37861a340cca5aaed4530458d05264f7ce5c7bd069da7",
+            "c1844cfde794f1410f64b6d7d15ad053aab4018440395106054b4d19ea1749eb",
         ("emergence", "emergence_multimodal_plateaus.txt"):
-            "64ce9e5413acf93fcf137a27b2ebd784ba6bcc569c37b0ab7377e81d9d03fee4",
+            "fd6a31cdd923725ce0a652138622a7a55f9797bfa02d928f05585b57f5addc63",
         ("plateaus", "emergence_multimodal_plateaus.txt"):
-            "b501cc3408df52f5b96050ed645da2ce9284c5d114e5c1b3969ad3aa53d62187",
+            "d509826d9d14bb7adacb9a41dbe31edfbec57b235e88b33527d28c8c1bf3ea1c",
     }
 
     UNDERSAMPLED = [

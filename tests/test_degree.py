@@ -59,7 +59,7 @@ class TestGeneratingFunctions:
             PoissonLimit(R=10**6, T=10**7, d_t=4.0),
         ]
         for m in models:
-            for which in ("L", "lam", "P", "rho"):
+            for which in ("L", "lam", "rho"):
                 np.testing.assert_allclose(m.gen(which, 1.0), 1.0, rtol=0, atol=1e-12)
 
     def test_edge_concept_gen_small_model(self):
@@ -170,7 +170,7 @@ class TestGeneratingFunctions:
         ]
         rng = np.random.default_rng(7)
         for m in models:
-            for which in ("L", "lam", "P", "rho"):
+            for which in ("L", "lam", "rho"):
                 n = m._exponent(which)
                 # x where the order-0 exponent n*log1p(p*(x - 1)) runs from -800 to -700
                 band = 1.0 + np.expm1(np.linspace(-800.0, -700.0, 41) / n) / m.p
@@ -254,7 +254,7 @@ class TestEdgeNodeConsistency:
         for R, T, d_t in cases:
             me = DegreeModel(R=R, T=T, d_t=d_t)
             mp = PoissonLimit(R=R, T=T, d_t=d_t)
-            for which in ("L", "lam", "P", "rho"):
+            for which in ("L", "lam", "rho"):
                 np.testing.assert_allclose(
                     me.gen(which, xs), mp.gen(which, xs), atol=1e-6, rtol=0
                 )
@@ -262,7 +262,7 @@ class TestEdgeNodeConsistency:
     def test_monotone_nondecreasing_in_x(self):
         xs = np.linspace(0.0, 1.0, 101)
         m = DegreeModel(R=300, T=500, d_t=7.0, epsilon=0.4)
-        for which in ("L", "lam", "P", "rho"):
+        for which in ("L", "lam", "rho"):
             vals = m.gen(which, xs)
             assert np.all(np.diff(vals) >= -1e-15)
 
@@ -278,7 +278,7 @@ class TestProperties:
     def test_values_stay_in_unit_interval(self, R, T, d_frac, x):
         """Generating functions of a probability distribution map [0,1] into [0,1]."""
         m = DegreeModel(R=R, T=T, d_t=d_frac * R)
-        for which in ("L", "lam", "P", "rho"):
+        for which in ("L", "lam", "rho"):
             v = m.gen(which, x)
             assert -1e-12 <= v <= 1.0 + 1e-12
 

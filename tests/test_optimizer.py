@@ -372,17 +372,17 @@ class TestRowBounds:
             assert every.size <= optimizer.EXHAUSTIVE_LIMIT
             assert 0 < assert_rows_within_bounds(every, spec) < every.size
 
-    def test_sample_lies_on_the_solver_grid(self, monkeypatch):
-        """A sampled x certifies eps* < eps only if the solve minimizes over it."""
+    def test_sample_lies_on_the_solver_grid(self):
+        """The sample is on the grid the solve takes x/g(x) on, where its
+        bounds cost fewer solves than an off-grid sample's."""
         grids = []
-        ratio = threshold._ratio
 
-        def spy(model, x):
-            grids.append(x)
-            return ratio(model, x)
+        class Spy(DegreeModel):
+            def g(self, x):
+                grids.append(x)
+                return super().g(x)
 
-        monkeypatch.setattr(threshold, "_ratio", spy)
-        find_threshold(DegreeModel(R=400, T=2500, d_t=6.0))
+        find_threshold(Spy(R=400, T=2500, d_t=6.0))
         sample = optimizer.STALL_SAMPLE
         assert grids[0] is threshold.X_GRID
         assert sample.size == optimizer.STALL_SAMPLE_POINTS
@@ -442,7 +442,8 @@ class TestCoverageFirstScan:
         xs, equal, below = optimizer.STALL_SAMPLE, 0, 0
         for spec in specs:
             grid = coarse_grid(spec)
-            cover, bound = optimizer._coverage_bounds(grid, spec), _row_bounds(grid, spec)
+            cover = optimizer._bound_at(optimizer._rows(grid, spec), 0.0)
+            bound = _row_bounds(grid, spec)
             assert (bound <= cover).all(), spec
             # x_s = 0 where no sampled x has x/g(x) <= eps, g composed row by row
             r = grid.astype(np.float64)[:, None]
@@ -492,7 +493,9 @@ class TestCoverageFirstScan:
             bound = cover - rng.integers(0, 4, size)
             value = rng.integers(-2, 12, size).astype(np.float64)
             monkeypatch.setattr(optimizer, "BOUND_BLOCK", int(rng.integers(1, 9)))
-            monkeypatch.setattr(optimizer, "_coverage_bounds", lambda g, s: cover[g - 10])
+            # the coverage bound is _bound_at(_rows(grid, spec), 0.0)
+            monkeypatch.setattr(optimizer, "_rows", lambda g, s: g)
+            monkeypatch.setattr(optimizer, "_bound_at", lambda g, y: cover[g - 10])
             monkeypatch.setattr(optimizer, "_row_bounds", lambda g, s: bound[g - 10])
             visits = {"full": [], "coverage": []}
 
@@ -557,7 +560,7 @@ class TestArrayRowBounds:
         ]
 
     def test_frontier_solve_count_is_pinned(self, monkeypatch):
-        """The 9 frontier budgets take 191 threshold solves in all; a speedup
+        """The 9 frontier budgets take 193 threshold solves in all; a speedup
         must not come from skipping solves."""
         calls = []
 
@@ -568,7 +571,7 @@ class TestArrayRowBounds:
         monkeypatch.setattr(optimizer, "find_threshold", counted)
         for spec in FRONTIER_SPECS:
             optimize_budget(spec)
-        assert len(calls) == 191
+        assert len(calls) == 193
 
 
 class TestScalingExponents:

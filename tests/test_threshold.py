@@ -309,10 +309,10 @@ def poisson_threshold(model):
 
 
 class TestPoissonClosedForm:
-    """The grid solve of a PoissonLimit against its closed-form threshold:
-    the same transition or crossover, eps_star no lower than the closed
-    form and at most 2e-9 relative above it (the grid minimum lies above
-    the true one), and x_star within 3e-5 relative (the zoom grid's step)."""
+    """The solve of a PoissonLimit against its closed-form threshold: the
+    same transition or crossover, eps_star within 1e-13 relative and
+    x_star within 1e-11 relative, on either side (the solve and W_{-1}
+    both round)."""
 
     # (R, T, d_t, eps)
     MODELS = [
@@ -330,8 +330,8 @@ class TestPoissonClosedForm:
             return False
         eps_star, x_star = closed
         assert not sol.no_transition, model
-        assert eps_star <= sol.eps_star <= eps_star * (1.0 + 2e-9), (model, eps_star)
-        assert sol.x_star == pytest.approx(x_star, rel=3e-5, abs=0.0), model
+        assert sol.eps_star == pytest.approx(eps_star, rel=1e-13, abs=0.0), model
+        assert sol.x_star == pytest.approx(x_star, rel=1e-11, abs=0.0), model
         return True
 
     @pytest.mark.parametrize("R, T, d_t, eps", MODELS)
@@ -346,7 +346,7 @@ class TestPoissonClosedForm:
 def grid_turning_points(model):
     """Turning points of the finite part of x/g(x) on X_GRID."""
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = threshold._ratio(model, threshold.X_GRID)
+        ratio = threshold.X_GRID / model.g(threshold.X_GRID)
     steps = np.sign(np.diff(ratio[np.isfinite(ratio)]))
     steps = steps[steps != 0.0]
     return int(np.count_nonzero(steps[1:] != steps[:-1]))
@@ -401,7 +401,7 @@ class TestErrorState:
     def test_data_rich_grid_divides_by_zero(self):
         model = self.CASES["data_rich"]
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            threshold._ratio(model, threshold.X_GRID)
+            threshold.X_GRID / model.g(threshold.X_GRID)
 
 
 class TestIterationCapWarning:
@@ -463,43 +463,148 @@ class TestMatchingUpperBound:
         assert not re.search(r"model\.p\b", src)
 
 
-def alpha_reference(pair, x_star, eps_star, dps=50):
-    """Mirror of the scaling-slope expression in 50-digit arithmetic.
+def mp_ensemble(model):
+    """(gen, L'(1)) of a PolynomialPair or DegreeModel in mpmath.
 
-    Polynomial generating functions and their derivatives are evaluated
-    term by term with mpmath, so the only shared ingredient with the
-    implementation is the displayed formula itself.
+    gen(which, x, order) evaluates a generating function or a derivative
+    term by term, or as n(n - 1)...*p**order*(p*x + 1 - p)**(n - order),
+    so the only shared ingredient with the implementation is the displayed
+    formulas.
     """
-    with mpmath.workdps(dps):
-        def poly(coeffs, x, order=0):
-            acc = mpmath.mpf(0)
-            for i, c in enumerate(coeffs):
-                if c == 0.0:
-                    continue
-                k = 1
-                for j in range(order):
-                    k *= i - j
-                if k:
-                    acc += mpmath.mpf(c) * k * mpmath.mpf(x) ** max(i - order, 0)
-            return acc
+    if isinstance(model, PolynomialPair):
+        lam = [mpmath.mpf(c) for c in model.lam_coeffs]
+        lp1 = 1 / sum(c / (i + 1) for i, c in enumerate(lam))
+        coeffs = {
+            "lam": lam,
+            "rho": [mpmath.mpf(c) for c in model.rho_coeffs],
+            "L": [0] + [c * lp1 / (i + 1) for i, c in enumerate(lam)],
+        }
 
-        lam = pair.lam_coeffs
-        rho = pair.rho_coeffs
-        xs = mpmath.mpf(repr(x_star))
-        es = mpmath.mpf(repr(eps_star))
+        def gen(which, x, order=0):
+            terms = enumerate(coeffs[which])
+            return sum(c * mpmath.ff(i, order) * x ** (i - order) for i, c in terms if i >= order)
+
+        return gen, lp1
+    p = mpmath.mpf(model.d_t) / model.R
+    n = {"L": mpmath.mpf(model.T), "lam": mpmath.mpf(model.T - 1)}
+    n["rho"] = model.R / mpmath.mpf(model.epsilon) - 1
+
+    def gen(which, x, order=0):
+        return mpmath.ff(n[which], order) * p**order * (p * x + 1 - p) ** (n[which] - order)
+
+    return gen, model.T * p
+
+
+def alpha_reference(model, x_star, eps_star, dps=50):
+    """Mirror of the scaling-slope expression in 50-digit arithmetic."""
+    with mpmath.workdps(dps):
+        gen, lp1 = mp_ensemble(model)
+        xs, es = mpmath.mpf(x_star), mpmath.mpf(eps_star)
         xb = 1 - xs
-        y = 1 - poly(rho, xb)
-        lp1 = 1 / sum(mpmath.mpf(c) / (i + 1) for i, c in enumerate(lam))
+        y = 1 - gen("rho", xb)
         num_text = (
-            poly(rho, xb) ** 2
-            - poly(rho, xb * xb)
-            + poly(rho, xb, 1) * (1 - 2 * xs * poly(rho, xb))
-            - xb**2 * poly(rho, xb * xb, 1)
+            gen("rho", xb) ** 2
+            - gen("rho", xb * xb)
+            + gen("rho", xb, 1) * (1 - 2 * xs * gen("rho", xb))
+            - xb**2 * gen("rho", xb * xb, 1)
         )
-        den_text = lp1 * poly(lam, y) ** 2 * poly(rho, xb, 1) ** 2
-        num_conc = es**2 * (poly(lam, y) ** 2 - poly(lam, y * y) - y * y * poly(lam, y * y, 1))
-        den_conc = lp1 * poly(lam, y) ** 2
+        den_text = lp1 * gen("lam", y) ** 2 * gen("rho", xb, 1) ** 2
+        num_conc = es**2 * (gen("lam", y) ** 2 - gen("lam", y * y) - y * y * gen("lam", y * y, 1))
+        den_conc = lp1 * gen("lam", y) ** 2
         return float(mpmath.sqrt(num_text / den_text + num_conc / den_conc))
+
+
+def tangency_reference(model, x0, dps=50):
+    """(x_star, eps_star, nu_star, alpha) in 50-digit arithmetic: x_star the
+    root of g(x) = x*g'(x), where d/dx log(x/g(x)) = 0, found from x0;
+    eps_star = x_star/g(x_star), nu_star = eps_star*L(y), y = g's inner
+    1 - rho(1 - x_star), and alpha the mirror's at that point."""
+    with mpmath.workdps(dps):
+        gen, _ = mp_ensemble(model)
+
+        def excess(x):  # g(x) - x*g'(x)
+            y = 1 - gen("rho", 1 - x)
+            return gen("lam", y) - x * gen("lam", y, 1) * gen("rho", 1 - x, 1)
+
+        x_star = mpmath.findroot(excess, mpmath.mpf(x0))
+        y = 1 - gen("rho", 1 - x_star)
+        eps_star = x_star / gen("lam", y)
+        alpha = alpha_reference(model, x_star, eps_star, dps)
+        return float(x_star), float(eps_star), float(eps_star * gen("L", y)), alpha
+
+
+class TestTangencyOracle:
+    """x_star, eps_star, nu_star and alpha against tangency_reference, on
+    frontier and data-rich models, a junk-dominated one (297/43/18.8) and
+    the (3,6) pair: x_star to 1e-12 and eps_star to 1e-14 relative."""
+
+    MODELS = {
+        **{
+            f"{R}-{T}": DegreeModel(R=R, T=T, d_t=6.0)
+            for R, T in ((14545, 71616), (12668, 61067), (1000, 4500), (119, 840), (400, 2500))
+        },
+        "297-43-18.8": DegreeModel(R=297, T=43, d_t=18.8),
+        "3-6": PAIR_36,
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_solution_is_the_mpmath_tangency(self, name):
+        model = self.MODELS[name]
+        sol = find_threshold(model)
+        x_star, eps_star, nu_star, alpha = tangency_reference(model, sol.x_star)
+        assert sol.x_star == pytest.approx(x_star, rel=1e-12, abs=0.0)
+        assert sol.eps_star == pytest.approx(eps_star, rel=1e-14, abs=0.0)
+        assert sol.nu_star == pytest.approx(nu_star, rel=1e-12, abs=0.0)
+        assert sol.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
+
+
+class Doctored:
+    """model with some (which, order) terms of its float path read as 0, as
+    if they underflowed; g on an array, the grid pass, is model's own."""
+
+    def __init__(self, model, zeroed):
+        self.model, self.zeroed = model, zeroed
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def _gen_at(self, x, terms):
+        values = self.model._gen_at(x, terms)
+        return [0.0 if term in self.zeroed else v for term, v in zip(terms, values)]
+
+
+class TestNewtonGuards:
+    """Newton from the grid argmin keeps the grid minimum wherever it may
+    not step: raising and warning nothing, find_threshold returns the grid
+    argmin and its x/g(x) (or no transition, where that is above 1).  The
+    float path's values are Python floats, so a division by a zero g or
+    g'' would raise ZeroDivisionError."""
+
+    CASES = {
+        # x/g(x) falls up to x = 1; the step from there goes to x = 0.96,
+        # where x/g(x) is higher
+        "right_end": (DegreeModel(R=1000, T=100000, d_t=1.0), ()),
+        # x/g(x) falls up to x = 1; the step from there leaves (0, 1] for 1.24
+        "step_leaves": (DegreeModel(R=1000, T=29600, d_t=2.5), ()),
+        "g_underflows": (DegreeModel(R=1000, T=4500, d_t=6.0), (("lam", 0),)),
+        "zero_g2": (DegreeModel(R=1000, T=4500, d_t=6.0), (("lam", 2), ("rho", 2))),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_guarded_solve_keeps_the_grid_minimum(self, name):
+        model, zeroed = self.CASES[name]
+        model = Doctored(model, zeroed) if zeroed else model
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = threshold.X_GRID / model.g(threshold.X_GRID)
+        start = int(np.flatnonzero(ratio[1:] <= ratio[:-1])[0])
+        i = start + int(np.argmin(ratio[start:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = find_threshold(model)
+            minimum = threshold._min_above(model, start, ratio)
+        assert minimum == (ratio[i], threshold.X_GRID[i])
+        assert sol.eps_star == min(minimum[0], 1.0)
+        assert sol.no_transition == (name in ("right_end", "step_leaves"))
 
 
 class TestScalingAlpha:
