@@ -25,8 +25,11 @@ as (3,6), given by coefficients) all answer: ``gen(which, x, order)`` for
 ``which`` in L, lam, rho and ``order`` 0-2 at a float or an array, with
 the shorthands ``L``, ``lam`` and ``rho``; ``_gen_at(x, terms)``, several
 ``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at a
-float or an array; ``integral(which)`` of lam or rho over [0, 1]; and
-``l_prime_at_one()``, the mean concept degree L'(1).
+float or an array; ``integral(which)`` of lam or rho over [0, 1];
+``l_prime_at_one()``, the mean concept degree L'(1); and
+``tangency_start()``, a Newton start for the threshold's tangency, or
+None.  DegreeModel and PoissonLimit start at the Poisson limit's closed
+form; PolynomialPair gives no start, and is solved on the grid.
 
 BinomialRows holds many (R, T) rows at once for the optimizer's row
 bounds.  It shares DegreeModel's exponents and array paths.
@@ -72,6 +75,10 @@ class _Ensemble:
     def g(self, x):
         """g(x) = lam(1 - rho(1 - x)) at a float or an array."""
         return self.lam(1.0 - self.rho(1.0 - x))
+
+    def tangency_start(self):
+        """No Newton start: find_threshold takes x/g(x) on its grid."""
+        return None
 
 
 class _Binomial(_Ensemble):
@@ -180,6 +187,29 @@ class DegreeModel(_Binomial):
     def l_prime_at_one(self) -> float:
         """L'(1) = T*p, the mean concept degree, computed analytically."""
         return self.T * self.p
+
+    def tangency_start(self):
+        """The Poisson limit's tangency x_star = v/b, or None.
+
+        With mean degrees a = (T - 1)p and b = (R/eps - 1)p the Poisson
+        limit has g(x) = exp(-a*exp(-b*x)), and x*g'(x) = g(x) reads
+        v - ln v = ln a at v = b*x.  Its larger root, v = -W_{-1}(-1/a) > 1,
+        is the tangency; there is none where a <= e, and no start where
+        v/b is above 1.  Newton from v = 2 ln a, right of the root, falls
+        monotonically to it, as v - ln v is convex and rising for v > 1.
+        """
+        p = self.p
+        a, b = self._exponent("lam") * p, self._exponent("rho") * p
+        if not a > math.e:
+            return None
+        log_a = math.log(a)
+        v = 2.0 * log_a
+        for _ in range(64):
+            step = (v - math.log(v) - log_a) / (1.0 - 1.0 / v)
+            v -= step
+            if step <= 1e-15 * v:
+                break
+        return v / b if v <= b else None
 
 
 class PoissonLimit(DegreeModel):

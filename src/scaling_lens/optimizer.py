@@ -55,9 +55,10 @@ __all__ = [
 
 COARSE_POINTS_PER_DECADE = 64
 
-# _row_bounds samples x/g(x) at this many points of the solver's x grid.  Any
-# sample would do; over the frontier and plateaus budgets this one gives the
-# same optima as np.geomspace(1e-9, 1, 64) with 3% fewer threshold solves.
+# _row_bounds samples x/g(x) at this many points of X_GRID, the x grid of the
+# threshold solve's fallback path.  Any sample would do; over the frontier and
+# plateaus budgets this one gives the same optima as np.geomspace(1e-9, 1, 64)
+# with 3% fewer threshold solves.
 STALL_SAMPLE_POINTS = 64
 STALL_SAMPLE = X_GRID[:: X_GRID.size // STALL_SAMPLE_POINTS]
 

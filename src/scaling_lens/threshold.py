@@ -25,18 +25,21 @@ be learned).  It is the root of x/g(x) = eps on the first rising stretch
 of x/g(x), which ends at the curve's first turning point x_M, and every
 fixed point above x_M is a genuine one.  So the threshold is the minimum
 of x/g(x) over x >= x_M, a search that does not depend on eps.
-find_threshold takes x/g(x) on X_GRID once, x_M as the first grid point
-where it stops rising (the left end where it starts out falling, as on
-data-rich models, where g underflows), and the grid argmin from there on.
-Newton on the tangency x*g'(x) = g(x), where d/dx log(x/g(x)) = 0, takes
-that argmin to x_star, and x/g(x) there is eps_star.  Without a turning
-point, or with that minimum above 1, the fixed point moves continuously
-with eps: a crossover, with no transition.
+Newton on the tangency x*g'(x) = g(x), where d/dx log(x/g(x)) = 0,
+finds x_star, and x/g(x) there is eps_star.  x/g(x) has a single well
+from x_M on, so a root where g'' < 0, a local minimum of x/g(x), is the
+threshold.  The walk starts at the model's tangency_start, for the
+binomial ensemble the Poisson limit's closed-form tangency, and its root
+is taken where it converges to such a minimum.  Otherwise, or with no
+start, the grid path decides: x/g(x) on X_GRID, x_M as the first grid
+point where it stops rising (the left end where it starts out falling,
+as on data-rich models, where g underflows), and the same walk from the
+grid argmin from there on.  Without a turning point, or with that
+minimum above 1, the fixed point moves continuously with eps: a
+crossover, with no transition.
 
-The solve takes x/g(x) to have a single well from x_M on, so the tangency
-next to its grid argmin is the threshold.  The one diagnostic is a
-SolverWarning: a DE orbit at its iteration cap.  A solve with no
-transition warns nothing: no_transition says so.
+The one diagnostic is a SolverWarning: a DE orbit at its iteration cap.
+A solve with no transition warns nothing: no_transition says so.
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ __all__ = [
     "prob_concept_unlearned",
 ]
 
-# the x grid on which every threshold solve finds x_M and its Newton start
+# the x grid on which a threshold solve with no tangency_start, or whose
+# walk from it finds no local minimum, finds x_M and its Newton start
 X_GRID = np.geomspace(1e-9, 1.0, 2048)
 X_GRID.setflags(write=False)
-# cap on the Newton steps that take x_star from the grid argmin to the tangency
+# cap on the Newton steps that take x_star from its start to the tangency
 NEWTON_STEPS = 8
 # cap on the DE orbit from x = 1 in de_fixed_point
 DE_MAX_ITER = 30000
@@ -152,7 +156,7 @@ def de_bit_erasure(model, eps: float) -> float:
 
 
 def _tangency_step(model, x: float):
-    """x/g(x) and the Newton step on x*g'(x) = g(x), at a float x.
+    """x/g(x), the Newton step on x*g'(x) = g(x) and g''(x), at a float x.
 
     With y = 1 - rho(1 - x), g = lam(y), g' = lam'(y)*rho'(1 - x) and
     g'' = lam''(y)*rho'(1 - x)**2 - lam'(y)*rho''(1 - x).  The ratio is
@@ -162,40 +166,71 @@ def _tangency_step(model, x: float):
     g, dlam, d2lam = model._gen_at(1.0 - rho, (("lam", 0), ("lam", 1), ("lam", 2)))
     d2g = d2lam * drho * drho - dlam * d2rho
     step = (dlam * drho - g / x) / d2g if d2g else math.nan
-    return (x / g if g else math.inf), step
+    return (x / g if g else math.inf), step, d2g
 
 
-def _min_above(model, start: int, ratio):
-    """(min, x_at_min) of x/g(x) from X_GRID[start] on, given ratio on X_GRID.
+def _newton(model, x: float, r: float = math.inf):
+    """Newton on x*g'(x) = g(x) from x: (min, x_at_min, at_min).
 
-    Newton on x*g'(x) = g(x) from the grid argmin.  A step that leaves (0, 1]
-    or raises x/g(x) beyond roundoff ends it at the lowest x/g(x) met.  A
-    step of at most 1e-8*x ends it at x_star = x - step: by quadratic
-    convergence the next step is below roundoff, and x/g(x) is stationary.
+    r is x/g(x) at x where the caller knows it, and min the lowest x/g(x)
+    met.  A step that leaves (0, 1] ends the walk, and so does a step
+    above 1e-6*x that raises x/g(x) beyond roundoff; below that x/g(x) is
+    flat to roundoff while x*g' - g is not.  A step of at most 1e-8*x ends
+    it at x - step: by quadratic convergence the next step is below
+    roundoff.  at_min is set only there, and only where x/g(x) is finite
+    and g'' < 0 at the last point, so that the root is a local minimum of
+    x/g(x): there its second derivative is -x*g''/g**2.
     """
-    i = start + int(np.argmin(ratio[start:]))
-    x, r = float(X_GRID[i]), float(ratio[i])
-    step = _tangency_step(model, x)[1]
+    r_x, step, d2g = _tangency_step(model, x)
+    r = min(r, r_x)
     for _ in range(NEWTON_STEPS):
         if not 0.0 < x - step <= 1.0:
             break
         if abs(step) <= 1e-8 * x:
-            return r, x - step
-        r_next, next_step = _tangency_step(model, x - step)
-        if r_next > r * (1.0 + 1e-14):
+            return r, x - step, d2g < 0.0 and r < math.inf
+        r_next, next_step, next_d2g = _tangency_step(model, x - step)
+        if r_next > r * (1.0 + 1e-14) and abs(step) > 1e-6 * x:
             break
-        x, r, step = x - step, min(r, r_next), next_step
-    return r, x
+        x, r, step, d2g = x - step, min(r, r_next), next_step, next_d2g
+    return r, x, False
+
+
+def _min_above(model, start: int, ratio):
+    """(min, x_at_min) of x/g(x) from X_GRID[start] on, given ratio on X_GRID,
+    by _newton from the grid argmin; where it may not step, the grid
+    minimum."""
+    i = start + int(np.argmin(ratio[start:]))
+    return _newton(model, float(X_GRID[i]), float(ratio[i]))[:2]
+
+
+def _grid_min(model):
+    """(min, x_at_min) of x/g(x) from its first turning point on X_GRID on,
+    or (inf, nan) where it does not turn there."""
+    ratio = X_GRID / model.g(X_GRID)
+    turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
+    if not turns.size:
+        return math.inf, math.nan
+    return _min_above(model, int(turns[0]), ratio)
+
+
+def _start_min(model):
+    """(min, x_at_min) by _newton from the model's tangency_start, or None
+    where it has no start or the walk does not end at a local minimum."""
+    x = model.tangency_start()
+    if x is None:
+        return None
+    eps_star, x_star, at_min = _newton(model, x)
+    return (eps_star, x_star) if at_min else None
 
 
 def find_threshold(model) -> ThresholdSolution:
     """Decoding threshold: the minimum of x/g(x) above its first turning point.
 
-    x/g(x) is taken once on the log-spaced X_GRID.  x_M is the first grid
-    point where it stops rising, and eps_star is its minimum from x_M on,
-    by Newton from the grid argmin (see the module docstring).  Works for
-    any ensemble that answers the interface listed in the degree module's
-    docstring.
+    Newton on the tangency x*g'(x) = g(x) from the model's tangency_start;
+    where that gives no local minimum of x/g(x), or there is no start,
+    from the argmin of x/g(x) on X_GRID above its first turning point
+    there (see the module docstring).  Works for any ensemble that
+    answers the interface listed in the degree module's docstring.
 
     With no turning point, or a minimum above 1, no fixed point appears
     as eps grows to 1: the solution is the sentinel eps_star = 1 with
@@ -204,11 +239,7 @@ def find_threshold(model) -> ThresholdSolution:
     data-rich models, where x/g(x) is +inf.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        ratio = X_GRID / model.g(X_GRID)
-        turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
-        eps_star = math.inf
-        if turns.size:
-            eps_star, x_star = _min_above(model, int(turns[0]), ratio)
+        eps_star, x_star = _start_min(model) or _grid_min(model)
         if eps_star > 1.0:
             return ThresholdSolution(1.0, math.nan, math.nan, math.nan, no_transition=True)
         nu_star, alpha = _solution_constants(model, eps_star, x_star)

@@ -607,13 +607,13 @@ class TestShippedOutputDigests:
 
     DIGESTS = {
         ("threshold", "threshold_rate_half.txt"):
-            "21984a70e1081fdd417e102d88f5be64ed6a9807ab5164f791b48459ecee0a34",
+            "c54ac067376333eb83a0586db89738585bf110806717babd58444aeb357f3ed8",
         ("isoflop", "isoflop_desk.txt"):
-            "becd1e613cc0677f538bb29d581d575b068ebc7bca3cb2f6db76cd80ff95e081",
+            "62ffe1615d72c58e8b3175db61bdfbd8504094333854dfdccc20b6eb024e28da",
         ("frontier", "frontier_paper_scale.txt"):
-            "b1d77124e69d1636046edc2318d6490e9a06cfdf2b3f2c8013f768d840b893a9",
+            "9023b18235c971fa3bdcb1f4dfbf42a2e8662139b00c90b93f0c8fcef8303d04",
         ("loss", "loss_frontier_sweep.txt"):
-            "1038e4f16915f0bf1ed5a1c4d3fc1f1dcde98303ecef08552f662c295ab934b3",
+            "e9a64e728e167e8af2bb151b88ca0be29582e1139141f58bb0fd5d724fc94c28",
         ("emergence", "emergence_single_level_step.txt"):
             "d68c0028026ea5fdbeca2b41ccc03915d9dd003cf4cf63f294afa5e3a4459d91",
         ("emergence", "emergence_unimodal_scurve.txt"):

@@ -373,8 +373,10 @@ class TestRowBounds:
             assert 0 < assert_rows_within_bounds(every, spec) < every.size
 
     def test_sample_lies_on_the_solver_grid(self):
-        """The sample is on the grid the solve takes x/g(x) on, where its
-        bounds cost fewer solves than an off-grid sample's."""
+        """The sample is on X_GRID, where its bounds cost fewer solves than
+        an off-grid sample's.  A clean solve starts from the model's
+        tangency_start and takes no grid; a model with no start, here one
+        with a <= e, still takes x/g(x) on X_GRID."""
         grids = []
 
         class Spy(DegreeModel):
@@ -382,11 +384,15 @@ class TestRowBounds:
                 grids.append(x)
                 return super().g(x)
 
-        find_threshold(Spy(R=400, T=2500, d_t=6.0))
         sample = optimizer.STALL_SAMPLE
-        assert grids[0] is threshold.X_GRID
         assert sample.size == optimizer.STALL_SAMPLE_POINTS
-        assert np.isin(sample, grids[0]).all()
+        assert np.isin(sample, threshold.X_GRID).all()
+        find_threshold(Spy(R=400, T=2500, d_t=6.0))
+        assert grids == []
+        fallback = Spy(R=206, T=48, d_t=6.0)
+        assert fallback.tangency_start() is None
+        find_threshold(fallback)
+        assert [x is threshold.X_GRID for x in grids] == [True]
 
     def test_tie_keeps_smallest_R_solved_first(self):
         """Two rows tie.  The smaller R has the larger bound, so it is solved
@@ -572,6 +578,26 @@ class TestArrayRowBounds:
         for spec in FRONTIER_SPECS:
             optimize_budget(spec)
         assert len(calls) == 193
+
+    def test_frontier_solves_take_no_grid(self, monkeypatch):
+        """Every threshold solve of the 9 frontier budgets starts Newton
+        from the model's tangency_start: none takes x/g(x) on X_GRID, which
+        a model with no start, here one with a <= e, still does."""
+        passes = []
+        g = DegreeModel.g
+
+        def spy(self, x):
+            if np.size(x) == threshold.X_GRID.size:
+                passes.append(self)
+            return g(self, x)
+
+        monkeypatch.setattr(DegreeModel, "g", spy)
+        for spec in FRONTIER_SPECS:
+            optimize_budget(spec)
+        assert passes == []
+        fallback = DegreeModel(R=206, T=48, d_t=6.0)
+        find_threshold(fallback)
+        assert passes == [fallback]
 
 
 class TestScalingExponents:

@@ -1,5 +1,6 @@
 """Tests for density evolution, the threshold solver, and the waterfall law."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -352,23 +353,29 @@ def grid_turning_points(model):
     return int(np.count_nonzero(steps[1:] != steps[:-1]))
 
 
+def budget_rows():
+    """The 64-per-decade rows of the isoflop_desk.txt and
+    frontier_paper_scale.txt budgets."""
+    specs = [BudgetSpec(C=c, d_t=6.0) for c in (6e5, 6e6, 6e7)]  # isoflop_desk.txt
+    specs += [  # frontier_paper_scale.txt
+        BudgetSpec(C=c, varsigma=2e5, tau=8e5) for c in np.geomspace(1e21, 1e25, 9).tolist()
+    ]
+    return [
+        DegreeModel(R=r, T=int(spec.C_prime // r), d_t=spec.d_t)
+        for spec in specs
+        for r in _geometric_ints(*_r_bounds(spec), 64).tolist()
+    ]
+
+
 class TestOneWell:
     """x/g(x) has at most one interior minimum: on X_GRID its finite part
     turns at most twice, at the top of the junk well's rise and at the
     threshold.  So the argmin from the first turning point on is the
-    threshold, with no second well to tie with."""
+    threshold, with no second well to tie with, and so is a root of
+    x*g'(x) = g(x) where g'' < 0, from whatever start Newton reaches it."""
 
     def test_at_most_two_turning_points(self):
-        specs = [BudgetSpec(C=c, d_t=6.0) for c in (6e5, 6e6, 6e7)]  # isoflop_desk.txt
-        specs += [  # frontier_paper_scale.txt
-            BudgetSpec(C=c, varsigma=2e5, tau=8e5) for c in np.geomspace(1e21, 1e25, 9).tolist()
-        ]
-        models = [
-            DegreeModel(R=r, T=int(spec.C_prime // r), d_t=spec.d_t)
-            for spec in specs
-            for r in _geometric_ints(*_r_bounds(spec), 64).tolist()
-        ]
-        models += random_models(5, 600)
+        models = budget_rows() + random_models(5, 600)
         counts = np.bincount([grid_turning_points(m) for m in models], minlength=3)
         assert counts.size == 3 and counts.min() > 0, counts
         assert grid_turning_points(PAIR_36) == 1
@@ -536,26 +543,38 @@ def tangency_reference(model, x0, dps=50):
 class TestTangencyOracle:
     """x_star, eps_star, nu_star and alpha against tangency_reference, on
     frontier and data-rich models, a junk-dominated one (297/43/18.8) and
-    the (3,6) pair: x_star to 1e-12 and eps_star to 1e-14 relative."""
+    the (3,6) pair: x_star to 1e-12 and eps_star to 1e-14 relative.
+
+    On 199/50251 and 11591/898685 steps of 1e-8 to 2e-7*x raise x/g(x) by
+    roundoff; a walk that stopped there would leave x_star 1e-7 and 5e-8
+    off.  There y = 1 - rho(1 - x_star) lies within 3e-4 of 1, and
+    lam(y), which takes y - 1 from the rounded y, is off by up to 1e-13
+    relative at the exact x_star; eps_star = x_star/lam(y) with it."""
 
     MODELS = {
         **{
             f"{R}-{T}": DegreeModel(R=R, T=T, d_t=6.0)
-            for R, T in ((14545, 71616), (12668, 61067), (1000, 4500), (119, 840), (400, 2500))
+            for R, T in (
+                (14545, 71616), (12668, 61067), (1000, 4500), (119, 840), (400, 2500),
+                (199, 50251), (11591, 898685),
+            )
         },
         "297-43-18.8": DegreeModel(R=297, T=43, d_t=18.8),
         "3-6": PAIR_36,
     }
+    EPS_STAR_REL = {"199-50251": 2e-13, "11591-898685": 2e-13}
 
     @pytest.mark.parametrize("name", MODELS)
     def test_solution_is_the_mpmath_tangency(self, name):
+        """The solve, and its grid path where it starts elsewhere."""
         model = self.MODELS[name]
-        sol = find_threshold(model)
-        x_star, eps_star, nu_star, alpha = tangency_reference(model, sol.x_star)
-        assert sol.x_star == pytest.approx(x_star, rel=1e-12, abs=0.0)
-        assert sol.eps_star == pytest.approx(eps_star, rel=1e-14, abs=0.0)
-        assert sol.nu_star == pytest.approx(nu_star, rel=1e-12, abs=0.0)
-        assert sol.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
+        for sol in (find_threshold(model), grid_solution(model)):
+            x_star, eps_star, nu_star, alpha = tangency_reference(model, sol.x_star)
+            assert sol.x_star == pytest.approx(x_star, rel=1e-12, abs=0.0)
+            rel = self.EPS_STAR_REL.get(name, 1e-14)
+            assert sol.eps_star == pytest.approx(eps_star, rel=rel, abs=0.0)
+            assert sol.nu_star == pytest.approx(nu_star, rel=1e-12, abs=0.0)
+            assert sol.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
 
 
 class Doctored:
@@ -605,6 +624,109 @@ class TestNewtonGuards:
         assert minimum == (ratio[i], threshold.X_GRID[i])
         assert sol.eps_star == min(minimum[0], 1.0)
         assert sol.no_transition == (name in ("right_end", "step_leaves"))
+
+
+class StartAt(Doctored):
+    """model whose tangency_start is x_0."""
+
+    def __init__(self, model, x_0):
+        super().__init__(model, ())
+        self.x_0 = x_0
+
+    def tangency_start(self):
+        return self.x_0
+
+
+def grid_solution(model):
+    """find_threshold's grid path: the solve of model with no start."""
+    return find_threshold(StartAt(model, None))
+
+
+def near_e_models(seed, count):
+    """count seeded models with a = (T - 1)p in [0.9e, 1.15e], where the
+    two turning points of x/g(x) merge at a = e in the Poisson limit."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(count):
+        R = int(np.exp(rng.uniform(np.log(10), np.log(1e7))))
+        d_t = float(rng.uniform(0.5, min(20.0, R - 1)))
+        T = round(1 + rng.uniform(0.9, 1.15) * math.e * R / d_t)
+        models.append(DegreeModel(R=R, T=T, d_t=d_t, epsilon=float(rng.uniform(0.05, 1.0))))
+    return models
+
+
+class TestGridlessPath:
+    """find_threshold starts Newton at the model's tangency_start and takes
+    the root where the walk converges to a local minimum of x/g(x); the grid
+    path is the oracle."""
+
+    @staticmethod
+    def check_against_grid(models):
+        """The same verdict as the grid path on every model, eps_star and
+        x_star within roundoff; the count of gridless solves."""
+        gridless = 0
+        for model in models:
+            got, want = find_threshold(model), grid_solution(model)
+            assert got.no_transition == want.no_transition, model
+            np.testing.assert_allclose(
+                (got.eps_star, got.x_star), (want.eps_star, want.x_star), rtol=1e-12, atol=0.0
+            )
+            gridless += threshold._start_min(model) is not None
+        return gridless
+
+    def test_budget_and_random_rows_match_the_grid_path(self):
+        models = budget_rows() + random_models(5, 600)
+        assert self.check_against_grid(models) > 1500
+
+    def test_rows_near_a_equal_e_match_the_grid_path(self):
+        """Near a = e the well is shallow and a grid cell may hold both
+        turning points; the walk still finds the grid's verdict."""
+        assert self.check_against_grid(near_e_models(3, 3000)) > 1000
+
+    def test_start_is_the_lambert_w_closed_form(self):
+        """x_0 = -W_{-1}(-1/a)/b against scipy: within 1e-14 relative, and
+        1e-12 within 0.1% of a = e, where both roots lose digits; no start
+        where a <= e or x_0 > 1."""
+        starts = 0
+        for model in random_models(7, 1000) + near_e_models(8, 1000):
+            p = model.p
+            a, b = (model.T - 1.0) * p, (model.R / model.epsilon - 1.0) * p
+            start = model.tangency_start()
+            assert PoissonLimit(model.R, model.T, model.d_t, model.epsilon).tangency_start() == start
+            if a <= math.e:
+                assert start is None
+                continue
+            x_0 = -float(lambertw(-1.0 / a, k=-1).real) / b
+            if x_0 > 1.0:
+                assert start is None
+                continue
+            rel = 1e-12 if a < 1.001 * math.e else 1e-14
+            assert start == pytest.approx(x_0, rel=rel, abs=0.0), model
+            starts += 1
+        assert starts > 800
+
+    FALLBACKS = {
+        "polynomial_pair": PAIR_36,
+        "a_at_most_e": DegreeModel(R=206, T=48, d_t=6.0),
+        # a = 100, b = 2: x_0 = 3.2
+        "start_above_1": DegreeModel(R=1000, T=100000, d_t=1.0),
+        # the walk stops at once: a nan step
+        "zero_g2": Doctored(DegreeModel(R=1000, T=4500, d_t=6.0), (("lam", 2), ("rho", 2))),
+        # the walk converges at once, at the mpmath root of x*g' = g at the
+        # top of the junk well, where g'' > 0: a local maximum of x/g(x)
+        "local_max": StartAt(DegreeModel(R=297, T=43, d_t=18.8), 0.024202472802834496),
+    }
+
+    @pytest.mark.parametrize("name", FALLBACKS)
+    def test_fallback_is_the_grid_path(self, name):
+        model = self.FALLBACKS[name]
+        start = model.tangency_start()
+        assert (start is None) == (name not in ("zero_g2", "local_max"))
+        if name == "local_max":
+            assert threshold._newton(model, start)[1] == pytest.approx(start, rel=1e-8)
+        assert threshold._start_min(model) is None
+        got, want = find_threshold(model), grid_solution(model)
+        np.testing.assert_equal(dataclasses.astuple(got), dataclasses.astuple(want))
 
 
 class TestScalingAlpha:
