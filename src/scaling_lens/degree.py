@@ -24,11 +24,12 @@ which DegreeModel, PoissonLimit and PolynomialPair (a classical pair such
 as (3,6), given by coefficients) all answer: ``gen(which, x, order)`` for
 ``which`` in L, lam, rho and ``order`` 0-2 at a float or an array, with
 the shorthands ``L``, ``lam`` and ``rho``; ``_gen_at(x, terms)``, several
-``(which, order)`` at one float; ``g(x)`` = lam(1 - rho(1 - x)) at a
-float or an array; ``integral(which)`` of lam or rho over [0, 1];
-``l_prime_at_one()``, the mean concept degree L'(1); and
-``tangency_start()``, a Newton start for the threshold's tangency, or
-None.  DegreeModel and PoissonLimit start at the Poisson limit's closed
+``(which, order)`` at one float, which DegreeModel answers from the
+exponents and coefficients it computes at construction; ``g(x)`` =
+lam(1 - rho(1 - x)) at a float or an array; ``integral(which)`` of lam
+or rho over [0, 1]; ``l_prime_at_one()``, the mean concept degree L'(1);
+and ``tangency_start()``, a Newton start for the threshold's tangency,
+or None.  DegreeModel and PoissonLimit start at the Poisson limit's closed
 form; PolynomialPair gives no start, and is solved on the grid.
 
 BinomialRows holds many (R, T) rows at once for the optimizer's row
@@ -133,6 +134,13 @@ class DegreeModel(_Binomial):
         count_in("T", self.T, 1)
         in_range("epsilon", self.epsilon, 0, 1, "(]")
         in_range("d_t", self.d_t, 0, self.R, "()")
+        # the scalar path's table: p, and n - order and _coeff(n, p, order) per (which, order)
+        p, table = self.d_t / self.R, {}
+        for which in ("L", "lam", "rho"):
+            n = self._exponent(which)
+            table[which, 0], table[which, 1] = (n, 1.0), (n - 1, n * p)
+            table[which, 2] = (n - 2, n * p * ((n - 1) * p))
+        object.__setattr__(self, "_scalar", (p, table))
 
     def gen(self, which: str, x, order: int = 0):
         """Evaluate a generating function or one of its first two derivatives.
@@ -151,13 +159,19 @@ class DegreeModel(_Binomial):
         """gen(which, x, order) for each (which, order) of terms at one float x.
 
         The functions share the log term log1p(p*(x - 1)), computed once,
-        and use numpy ufuncs on floats, not math, so each value has the
-        bits of the array path; math differs from numpy in the last bit on
-        a few percent of exp and log1p inputs.
+        and take exponents and coefficients from the model's table.  numpy
+        ufuncs on floats, not math, give each value the bits of the array
+        path; math differs in the last bit on a few percent of inputs.
         """
-        p = self.p
-        base = np.log1p(p * (x - 1.0))
-        return [_binomial_at(self._exponent(w), p, base, order) for w, order in terms]
+        p, table = self._scalar
+        base = float(np.log1p(p * (x - 1.0)))
+        try:
+            return [
+                0.0 if (e := m * base) < _LOG_UNDERFLOW or c == 0.0 else c * float(np.exp(e))
+                for m, c in map(table.__getitem__, terms)
+            ]
+        except KeyError:
+            raise ValueError(f"terms {terms!r} need which in L, lam, rho and order 0-2") from None
 
     def g(self, x):
         """g(x) = lam(1 - rho(1 - x)) at a float or an array.
@@ -166,7 +180,8 @@ class DegreeModel(_Binomial):
         straight-line math code; math's bits can differ from the array
         path's in the last place.  Otherwise g composes binomial_gen twice.
         """
-        p, n_rho, n_lam = self.p, self.R / self.epsilon - 1.0, self.T - 1.0
+        p, table = self._scalar
+        (n_rho, _), (n_lam, _) = table["rho", 0], table["lam", 0]
         if not isinstance(x, float):
             out = binomial_gen(n_lam, p, 1.0 - binomial_gen(n_rho, p, 1.0 - x))
             return float(out) if out.ndim == 0 else out
@@ -198,8 +213,8 @@ class DegreeModel(_Binomial):
         v/b is above 1.  Newton from v = 2 ln a, right of the root, falls
         monotonically to it, as v - ln v is convex and rising for v > 1.
         """
-        p = self.p
-        a, b = self._exponent("lam") * p, self._exponent("rho") * p
+        _, table = self._scalar
+        a, b = table["lam", 1][1], table["rho", 1][1]
         if not a > math.e:
             return None
         log_a = math.log(a)
@@ -324,15 +339,6 @@ def _coeff(n, p, order: int):
     for k in range(order):
         coeff = coeff * ((n - k) * p)
     return coeff
-
-
-def _binomial_at(n: float, p: float, base, order: int) -> float:
-    """binomial_gen for one float point, given base = log1p(p*(x - 1))."""
-    coeff = _coeff(n, p, order)
-    e = (n - order) * base
-    if e < _LOG_UNDERFLOW or coeff == 0.0:
-        return 0.0
-    return float(coeff * np.exp(e)) if order else float(np.exp(e))
 
 
 def binomial_gen(n, p, x, order: int = 0):

@@ -120,6 +120,7 @@ class TaskSpec:
         total = math.fsum(self.weights.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "_max_level", max(l for (l, _) in self.weights))
 
     @classmethod
     def homogeneous(cls, level: int, m: int) -> "TaskSpec":
@@ -149,7 +150,8 @@ class TaskSpec:
         return TaskSpec.product(self.level_marginal(), arity_marginal)
 
     def max_level(self) -> int:
-        return max(l for (l, _) in self.weights)
+        """The highest level a weight names, found once at construction."""
+        return self._max_level
 
 
 @dataclass(frozen=True)

@@ -205,8 +205,11 @@ def _min_above(model, start: int, ratio):
 
 def _grid_min(model):
     """(min, x_at_min) of x/g(x) from its first turning point on X_GRID on,
-    or (inf, nan) where it does not turn there."""
-    ratio = X_GRID / model.g(X_GRID)
+    or (inf, nan) where it does not turn there.  Divide and overflow
+    warnings are silenced for the grid pass: g vanishes at low x on
+    data-rich models, where x/g(x) is +inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = X_GRID / model.g(X_GRID)
     turns = np.flatnonzero(ratio[1:] <= ratio[:-1])
     if not turns.size:
         return math.inf, math.nan
@@ -234,16 +237,15 @@ def find_threshold(model) -> ThresholdSolution:
 
     With no turning point, or a minimum above 1, no fixed point appears
     as eps grows to 1: the solution is the sentinel eps_star = 1 with
-    no_transition set and x_star, nu_star and alpha nan.  Divide and
-    overflow warnings are silenced for the solve: g vanishes at low x on
-    data-rich models, where x/g(x) is +inf.
+    no_transition set and x_star, nu_star and alpha nan.  Only the grid
+    pass silences numpy's divide and overflow warnings; the steps on
+    floats raise none.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        eps_star, x_star = _start_min(model) or _grid_min(model)
-        if eps_star > 1.0:
-            return ThresholdSolution(1.0, math.nan, math.nan, math.nan, no_transition=True)
-        nu_star, alpha = _solution_constants(model, eps_star, x_star)
-        return ThresholdSolution(eps_star, x_star, nu_star, alpha)
+    eps_star, x_star = _start_min(model) or _grid_min(model)
+    if eps_star > 1.0:
+        return ThresholdSolution(1.0, math.nan, math.nan, math.nan, no_transition=True)
+    nu_star, alpha = _solution_constants(model, eps_star, x_star)
+    return ThresholdSolution(eps_star, x_star, nu_star, alpha)
 
 
 def _solution_constants(model, eps_star: float, x_star: float):

@@ -1,7 +1,9 @@
 """Tests for the binomial degree-distribution model and its generating functions."""
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from scaling_lens.degree import (
     binomial_gen,
     log_gen,
 )
+from scaling_lens.threshold import find_threshold
 
 
 class TestModelValidation:
@@ -184,6 +187,37 @@ class TestGeneratingFunctions:
                             assert np.float64(got).tobytes() == want[k].tobytes(), (which, order, x)
                     assert m.gen(which, np.array(xs[3]), order) == want[3]
 
+    def test_multi_term_float_path_matches_binomial_gen(self):
+        """_gen_at with all nine (which, order) at one float gives, term by
+        term, the bits of binomial_gen on an array of the same points:
+        across each function's underflow band, at 0, 1 and NaN, and with a
+        real exponent R/eps - 1.  An unknown name is a ValueError."""
+        terms = tuple((which, order) for which in ("L", "lam", "rho") for order in (0, 1, 2))
+        models = [
+            DegreeModel(R=100, T=200, d_t=6.0),
+            DegreeModel(R=10**6, T=10**6, d_t=1000.0),
+            DegreeModel(R=14545, T=71616, d_t=6.0),
+            DegreeModel(R=1001, T=3000, d_t=6.0, epsilon=0.3),  # R/eps = 3336.67
+        ]
+        rng = np.random.default_rng(5)
+        zeroed = subnormal = 0
+        for m in models:
+            bands = [
+                1.0 + np.expm1(np.linspace(-800.0, -700.0, 41) / m._exponent(which)) / m.p
+                for which in ("L", "lam", "rho")
+            ]
+            xs = np.concatenate((*bands, rng.uniform(0.0, 1.0, 20), [0.0, 1.0, math.nan]))
+            want = np.array([binomial_gen(m._exponent(w), m.p, xs, k) for w, k in terms]).T
+            for x, row in zip(xs.tolist(), want):
+                got = m._gen_at(x, terms)
+                assert all(type(v) is float for v in got)
+                assert np.array(got).tobytes() == row.tobytes(), (m, x)
+            zeroed += int(np.count_nonzero(want == 0.0))
+            subnormal += int(np.count_nonzero((want > 0.0) & (want < np.finfo(float).tiny)))
+        assert zeroed and subnormal
+        with pytest.raises(ValueError):
+            models[0]._gen_at(0.5, (("Q", 0),))
+
     @pytest.mark.parametrize("ensemble", [DegreeModel, PoissonLimit])
     def test_array_g_is_the_gen_composition(self, ensemble):
         """g on an array has the bits of lam(1 - rho(1 - x)), across the
@@ -218,6 +252,29 @@ class TestGeneratingFunctions:
             m.gen("Q", 0.5)
         with pytest.raises(ValueError):
             m.gen("lam", 0.5, order=3)
+
+
+class TestScalarConstants:
+    """The constants that DegreeModel computes for its scalar path at
+    construction follow its fields through replace, copy and pickle."""
+
+    def test_copies_solve_like_fresh_models(self):
+        m = DegreeModel(R=1000, T=4500, d_t=6.0)
+        cases = {
+            "replace T": (dataclasses.replace(m, T=6500), DegreeModel(R=1000, T=6500, d_t=6.0)),
+            "replace eps": (
+                dataclasses.replace(m, epsilon=0.4),
+                DegreeModel(R=1000, T=4500, d_t=6.0, epsilon=0.4),
+            ),
+            "copy": (copy.copy(m), DegreeModel(R=1000, T=4500, d_t=6.0)),
+            "pickle": (pickle.loads(pickle.dumps(m)), DegreeModel(R=1000, T=4500, d_t=6.0)),
+        }
+        for name, (got, fresh) in cases.items():
+            assert got == fresh, name
+            assert find_threshold(got) == find_threshold(fresh), name
+        assert find_threshold(cases["replace T"][0]) != find_threshold(m)
+        assert find_threshold(cases["replace eps"][0]) != find_threshold(m)
+        assert [f.name for f in dataclasses.fields(DegreeModel)] == ["R", "T", "d_t", "epsilon"]
 
 
 class TestMeanDegree:

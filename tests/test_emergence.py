@@ -1,5 +1,6 @@
 """Tests for skill-graph emergence: link bounds, giant components, plateaus."""
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -487,6 +488,26 @@ class TestTaskAccuracy:
         task = TaskSpec.product({1: 1.0}, {m: 1.0 / 6.0 for m in range(2, 8)})
         lo, hi = sorted((g1, g2))
         assert task_accuracy(np.array([lo]), task) <= task_accuracy(np.array([hi]), task)
+
+
+class TestMaxLevel:
+    def test_max_level_is_the_highest_weighted_level(self):
+        """max_level, found once at construction, is the largest level a
+        weight names: for homogeneous, product and mixture tasks, and for
+        a task that dataclasses.replace rebuilds."""
+        mixture = task_mixture_binomial(100, (0.2, 0.6, 0.95), (0.4, 0.4, 0.2))
+        cases = [
+            (TaskSpec.homogeneous(level=7, m=3), 7),
+            (TaskSpec.product({2: 0.25, 9: 0.5, 4: 0.25}, {1: 0.5, 3: 0.5}), 9),
+            (mixture, 100),
+            (mixture.with_arity({2: 0.5, 5: 0.5}), 100),
+            (task_mixture_binomial(3, 0.5), 3),
+            (dataclasses.replace(mixture, weights={(4, 1): 0.5, (2, 2): 0.5}), 4),
+        ]
+        for task, level in cases:
+            assert task.max_level() == level == max(l for l, _ in task.weights)
+        with pytest.raises(ValueError, match="level 9 but only 8"):
+            task_accuracy(np.full(8, 0.5), cases[1][0])
 
 
 class TestTaskMixtureBinomial:

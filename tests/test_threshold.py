@@ -386,8 +386,9 @@ FRONTIER_R, FRONTIER_T = 14545, 71616
 
 
 class TestErrorState:
-    """find_threshold silences divide and overflow warnings only while it
-    solves: numpy's error state is the caller's again afterwards."""
+    """find_threshold silences divide and overflow warnings only for its
+    grid pass: numpy's error state is the caller's again afterwards, and
+    a gridless solve makes no numpy floating-point error to silence."""
 
     CASES = {
         "clean": DegreeModel(R=1000, T=4500, d_t=6.0),
@@ -409,6 +410,35 @@ class TestErrorState:
         model = self.CASES["data_rich"]
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             threshold.X_GRID / model.g(threshold.X_GRID)
+
+    def test_gridless_solves_raise_no_floating_point_error(self):
+        """Every budget row that Newton solves from its Poisson start,
+        under an error state that raises on divide, overflow and invalid."""
+        before = np.geterr()
+        solved = 0
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for model in budget_rows():
+                if threshold._start_min(model) is not None:
+                    find_threshold(model)
+                    solved += 1
+        assert solved > 1000
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("name", ["crossover", "data_rich"])
+    def test_grid_pass_still_silences_its_divide(self, name):
+        """The a <= e fallback, and the grid pass on a data-rich model
+        where x/g(x) divides by zero, raise nothing when the caller's
+        error state raises on divide and overflow."""
+        model = self.CASES[name]
+        before = np.geterr()
+        with np.errstate(divide="raise", over="raise"):
+            grid = threshold._grid_min(model)
+            sol = find_threshold(model)
+        assert np.geterr() == before
+        if name == "crossover":
+            assert model.tangency_start() is None and sol.no_transition
+        else:
+            assert grid[0] == pytest.approx(sol.eps_star, rel=1e-12)
 
 
 class TestIterationCapWarning:
